@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .partitions import EMPTY, Partition, is_p_core, partitions_of, p_core, rho
+from .partitions import EMPTY, Partition, is_p_core, partitions_of, p_core
 from .partitions import count_pcores as _count_pcores
-from .partitions import _check_prime
+from .partitions import _check_prime, _tuple_partition_count
 
 
 def sylow_exponent(p: int, m: int) -> int:
@@ -111,8 +111,9 @@ def block_of_partition(lam: Partition, p: int) -> BlockDescriptor:
 
 
 def dim_center(b: BlockDescriptor) -> int:
-    """Dimension of the block's center: partitions of n with the block's core."""
-    return rho(b.n, b.core, b.p)
+    """Dimension of the block's center: rho(n, core, p), the p-tuples of
+    partitions of total size weight (the descriptor validated the core)."""
+    return _tuple_partition_count(b.weight, b.p)
 
 
 def dim_hh1(b: BlockDescriptor) -> int:
@@ -124,7 +125,7 @@ def dim_hh1(b: BlockDescriptor) -> int:
     every positive-weight (equivalently, positive-defect) block.
     """
     factor = 2 if b.p == 2 else 1
-    return factor * sum(rho(b.p * j, EMPTY, b.p) for j in range(b.weight))
+    return factor * sum(_tuple_partition_count(j, b.p) for j in range(b.weight))
 
 
 def count_weight_blocks(p: int, n: int, w: int) -> int:

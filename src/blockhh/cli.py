@@ -16,7 +16,7 @@ from typing import Iterable
 
 from . import blocks as blocks_mod
 from . import hochschild as hh
-from .partitions import Partition
+from .partitions import Partition, _check_prime
 from .series import Series, partition_gf, pcore_count_gf, section
 
 FALLBACK_ORDER = 40
@@ -27,8 +27,10 @@ SERIES_NAMES = ("P", "Z", "Y", "HH1group", "Cs")
 
 def _prime(text: str) -> int:
     v = int(text)
-    if v < 2 or any(v % d == 0 for d in range(2, int(v**0.5) + 1)):
-        raise argparse.ArgumentTypeError("%d is not prime" % v)
+    try:
+        _check_prime(v)
+    except ValueError:
+        raise argparse.ArgumentTypeError("%d is not prime" % v) from None
     return v
 
 
@@ -160,21 +162,26 @@ def cmd_series(args, parser, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    p, fault = args.p, args.inject_fault
+    need = hh.theorem3_min_order(p)
+    order = args.order if args.order is not None else max(default_order(), need)
+    if args.which in ("thm3", "all") and order < need:
+        raise ValueError("order %d too small for thm3; need >= %d" % (order, need))
+    ctx = hh.SeriesContext(p, order)
     reports = []
-    fault = args.inject_fault
 
     def run(report):
         reports.append(report)
         out.write("%s\n" % report)
 
     if args.which in ("thm2", "all"):
-        run(hh.verify_theorem2(args.p, max(1, args.order // 2), inject_fault=fault))
+        run(hh.verify_theorem2(p, max(1, order // 2), inject_fault=fault, ctx=ctx))
     if args.which in ("thm3", "all"):
-        run(hh.verify_theorem3(args.p, args.order, inject_fault=fault))
-        out.write("fitted phi = %s\n" % hh.fit_phi(args.p, args.order))
+        run(hh.verify_theorem3(p, order, inject_fault=fault, ctx=ctx))
+        out.write("fitted phi = %s\n" % ctx.phi)
     if args.which in ("eq12", "all"):
-        for s in range(args.p):
-            run(hh.verify_block_decomposition(args.p, s, args.order, inject_fault=fault))
+        for s in range(p):
+            run(hh.verify_block_decomposition(p, s, order, inject_fault=fault, ctx=ctx))
     return 0 if all(r.holds for r in reports) else 1
 
 
@@ -232,7 +239,7 @@ def main(argv: Iterable[str] | None = None, out=None) -> int:
     parser = build_parser()
     args = parser.parse_args(list(argv) if argv is not None else None)
     out = out if out is not None else sys.stdout
-    if getattr(args, "order", None) is None and args.command in ("series", "verify"):
+    if args.command == "series" and args.order is None:
         args.order = default_order()
     try:
         if args.command == "blocks":
@@ -242,9 +249,10 @@ def main(argv: Iterable[str] | None = None, out=None) -> int:
         if args.command == "verify":
             return cmd_verify(args, out)
         return cmd_oracle(args, out)
-    except ValueError as exc:
+    except (ValueError, RuntimeError) as exc:
+        # ValueError is a usage error; RuntimeError an internal cross-check that disagreed
         print("blockhh: error: %s" % exc, file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, ValueError) else 1
 
 
 def entrypoint() -> None:

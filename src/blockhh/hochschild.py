@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .blocks import dim_center, dim_hh1, principal_block
@@ -35,6 +36,7 @@ from .rational import Polynomial, RationalFunction, expand, rational_fit
 from .series import (
     Coeff,
     Series,
+    euler_power,
     partition_gf,
     pcore_count_gf,
     section,
@@ -73,20 +75,18 @@ class VerificationReport:
 def Z_series(p: int, order: int) -> Series:
     """Center dimensions of principal blocks by weight: coefficient w is z_w.
 
-    Computed by weight counting (rho of the empty core); a short prefix is
-    cross-checked against the p-th power of the partition series, which the
-    core/quotient bijection says must agree everywhere.
+    z_w = rho(pw, empty) counts p-tuples of partitions of total size w, so
+    Z = P^p = E(t)^(-p), from the Euler-product kernel; a short prefix is
+    cross-checked against P multiplied by itself p times.
     """
     _check_prime(p)
-    if order < 1:
-        raise ValueError("order must be positive")
-    coeffs = [rho(p * n, EMPTY, p) for n in range(order)]
+    z = euler_power(-p, order)
     guard = min(order, 12)
-    if (partition_gf(guard) ** p).coeffs != tuple(coeffs[:guard]):
+    if (partition_gf(guard) ** p).coeffs != z.coeffs[:guard]:
         raise RuntimeError(
-            "weight-count route and partition-power route disagree for p=%d" % p
+            "Euler-product route and partition-power route disagree for Z (p=%d)" % p
         )
-    return Series(coeffs)
+    return z
 
 
 def y1_formula(p: int, r: int) -> int:
@@ -108,57 +108,105 @@ def phi_r1(p: int) -> RationalFunction:
     return RationalFunction(Polynomial([2 if p == 2 else 1]), Polynomial([1, -1]))
 
 
-def hh1_block_series(p: int, order: int) -> Series:
-    """Y(t): coefficient w is the HH^1 dimension of any weight-w block."""
-    _check_prime(p)
-    if order < 1:
-        raise ValueError("order must be positive")
-    y = shift(series_mul(expand(phi_r1(p), order), Z_series(p, order)), 1)
-    return truncate(y, order)
+class SeriesContext:
+    """P, Z, Y (from that Z), the group series, the core-count sections and the
+    fitted phi for one prime, each built at most once, on first use, at the
+    largest order a verifier run at ``order`` needs (eq12 reads Z, Y and C_s
+    to order // p + 2, which exceeds a tiny order)."""
+
+    def __init__(self, p: int, order: int):
+        _check_prime(p)
+        if order < 1:
+            raise ValueError("order must be positive")
+        self.p = p
+        self.order = max(order, order // p + 2)
+
+    @cached_property
+    def P(self) -> Series:
+        return partition_gf(self.order)
+
+    @cached_property
+    def Z(self) -> Series:
+        return Z_series(self.p, self.order)
+
+    @cached_property
+    def Y(self) -> Series:
+        return hh1_block_series(self.p, self.order, self)
+
+    @cached_property
+    def group(self) -> Series:
+        return hh1_group_series(self.p, self.order, self)
+
+    @cached_property
+    def core_sections(self) -> tuple[Series, ...]:
+        """C_s for s = 0..p-1, each to order // p + 2."""
+        cores = pcore_count_gf(self.p, self.p * (self.order // self.p + 2))
+        return tuple(section(cores, self.p, s) for s in range(self.p))
+
+    @cached_property
+    def phi(self) -> RationalFunction:
+        return fit_phi(self.p, self.order, self)
 
 
-def hh1_group_series(p: int, order: int) -> Series:
+def _context(p: int, order: int, ctx: Optional[SeriesContext]) -> SeriesContext:
+    if ctx is None:
+        return SeriesContext(p, order)
+    if ctx.p != p or not 1 <= order <= ctx.order:
+        raise ValueError("context for p=%d to order %d cannot serve p=%d, order %d"
+                         % (ctx.p, ctx.order, p, order))
+    return ctx
+
+
+def hh1_block_series(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Series:
+    """Y(t): coefficient w is the HH^1 dimension of any weight-w block.
+
+    Y = t phi Z with the closed-form phi; Z is read from ``ctx`` when given.
+    """
+    z = truncate(_context(p, order, ctx).Z, order)
+    return truncate(shift(series_mul(expand(phi_r1(p), order), z), 1), order)
+
+
+def hh1_group_series(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Series:
     """sum_n dim HH^1(kS_n) t^n, built twice and compared.
 
     Route one expands the closed-form factor 2t^2/(1-t^2) (p = 2) or
     t^p/(1-t^p) (p >= 3) against the partition series; route two composes
     t^p * phi(t^p) by power substitution.  They must agree coefficientwise.
+    The partition series is read from ``ctx`` when given.
     """
-    _check_prime(p)
-    if order < 1:
-        raise ValueError("order must be positive")
+    gf = truncate(_context(p, order, ctx).P, order)
     lead = 2 if p == 2 else 1
     factor = RationalFunction(
         Polynomial([0] * p + [lead]), Polynomial([1] + [0] * (p - 1) + [-1])
     )
-    gf = partition_gf(order)
     closed = series_mul(expand(factor, order), gf)
-    q = order // p + 2
-    composed = truncate(
-        series_mul(shift(substitute_power(expand(phi_r1(p), q), p), p), gf), order
-    )
-    if closed != composed:
+    if closed != _lift(phi_r1(p), p, gf):
         raise RuntimeError(
             "closed-form and substitution routes disagree for hh1_group_series(p=%d)" % p
         )
     return closed
 
 
-def fit_phi(p: int, order: int) -> RationalFunction:
+def theorem3_min_order(p: int) -> int:
+    """Least order thm3 accepts: max(20, 2p + 7) overdetermines the phi fit."""
+    return max(20, 2 * p + 7)
+
+
+def fit_phi(p: int, order: int, ctx: Optional[SeriesContext] = None) -> RationalFunction:
     """Reconstruct phi from series data alone: fit (Y(t)/t) * Z(t)^(-1).
 
     Uses degree bounds (p+2, p+2), generous for the true answer; needs
     order >= 2p + 7 so the fit is overdetermined.  Raises if no rational
     function within the bounds matches (which would falsify rationality).
+    Y and Z are read from ``ctx`` when given.
     """
-    _check_prime(p)
     if order < 2 * p + 7:
         raise ValueError(
             "order %d too small to overdetermine the (p+2, p+2) fit; need >= %d"
             % (order, 2 * p + 7)
         )
-    y = hh1_block_series(p, order)
-    z = Z_series(p, order)
+    ctx = _context(p, order, ctx)
+    y, z = truncate(ctx.Y, order), truncate(ctx.Z, order)
     phi_series = series_mul(shift(y, -1), series_inv(z))
     fitted = rational_fit(phi_series, p + 2, p + 2)
     if fitted is None:
@@ -170,57 +218,53 @@ def fit_phi(p: int, order: int) -> RationalFunction:
 
 
 def verify_block_decomposition(
-    p: int, s: int, order: int, inject_fault: bool = False
+    p: int, s: int, order: int, inject_fault: bool = False, ctx: Optional[SeriesContext] = None
 ) -> VerificationReport:
     """Check the residue-s factorizations of the group center and HH^1 series.
 
     Left sides are computed without block theory (partition counts; the
     doubly-constructed group HH^1 series); right sides are t^s Z(t^p) C_s(t^p)
     and t^s Y(t^p) C_s(t^p).  ``inject_fault`` bumps one C_s coefficient, a
-    self-test that the comparison actually bites.
+    self-test that the comparison actually bites.  Series are read from ``ctx``
+    when given.
     """
-    _check_prime(p)
+    ctx = _context(p, order, ctx)
     if not 0 <= s < p:
         raise ValueError("residue %d out of range 0..%d" % (s, p - 1))
-    if order < 1:
-        raise ValueError("order must be positive")
-    name = "eq12:s=%d" % s
     q = order // p + 2
-    cs = section(pcore_count_gf(p, p * q + s), p, s)
+    cs = truncate(ctx.core_sections[s], q)
     if inject_fault:
         cs = _bump(cs, min(1, cs.order - 1))
     cs_p = substitute_power(cs, p)
 
-    lhs_z = _mask(partition_gf(order), p, s)
-    rhs_z = truncate(shift(series_mul(substitute_power(Z_series(p, q), p), cs_p), s), order)
-    diff = _first_diff(lhs_z, rhs_z)
+    def through_blocks(f: Series) -> Series:  # t^s f(t^p) C_s(t^p)
+        return truncate(shift(series_mul(substitute_power(truncate(f, q), p), cs_p), s), order)
+
+    diff = _first_diff(_mask(truncate(ctx.P, order), p, s), through_blocks(ctx.Z))
     if diff is None:
-        lhs_y = _mask(hh1_group_series(p, order), p, s)
-        rhs_y = truncate(
-            shift(series_mul(substitute_power(hh1_block_series(p, q), p), cs_p), s), order
-        )
-        diff = _first_diff(lhs_y, rhs_y)
-    return _report(name, p, order, diff)
+        diff = _first_diff(_mask(truncate(ctx.group, order), p, s), through_blocks(ctx.Y))
+    return _report("eq12:s=%d" % s, p, order, diff)
 
 
-def verify_theorem3(p: int, order: int, inject_fault: bool = False) -> VerificationReport:
+def verify_theorem3(
+    p: int, order: int, inject_fault: bool = False, ctx: Optional[SeriesContext] = None
+) -> VerificationReport:
     """Check Y(t) = t phi(t) Z(t) and the group series = t^p phi(t^p) P(t),
     with phi reconstructed by rational fitting rather than assumed.
 
     Also checks that the fitted phi matches the closed form, has nonzero
     constant term, and that this constant term is the weight-1 dimension.
-    Requires order >= max(20, 2p + 7) so the reconstruction is overdetermined
-    and uniqueness against the closed form is forced.  ``inject_fault``
-    corrupts one Y coefficient after fitting, as a harness self-test.
+    Requires order >= theorem3_min_order(p).  phi is the context's fit, at
+    its order.  ``inject_fault`` corrupts one Y coefficient after fitting.
     """
-    _check_prime(p)
-    if order < max(20, 2 * p + 7):
-        raise ValueError("order %d too small; need >= %d" % (order, max(20, 2 * p + 7)))
-    y = hh1_block_series(p, order)
-    z = Z_series(p, order)
-    gf = partition_gf(order)
+    if order < theorem3_min_order(p):
+        raise ValueError("order %d too small; need >= %d" % (order, theorem3_min_order(p)))
+    ctx = _context(p, order, ctx)
+    y = truncate(ctx.Y, order)
+    z = truncate(ctx.Z, order)
+    gf = truncate(ctx.P, order)
     y1 = y1_formula(p, 1)
-    phi_hat = fit_phi(p, order)
+    phi_hat = ctx.phi
     if inject_fault:
         y = _bump(y, order // 2)
 
@@ -237,11 +281,7 @@ def verify_theorem3(p: int, order: int, inject_fault: bool = False) -> Verificat
     if diff is None:
         diff = _first_diff(y, truncate(shift(series_mul(expand(phi_hat, order), z), 1), order))
     if diff is None:
-        q = order // p + 2
-        composed = truncate(
-            series_mul(shift(substitute_power(expand(phi_hat, q), p), p), gf), order
-        )
-        diff = _first_diff(hh1_group_series(p, order), composed)
+        diff = _first_diff(truncate(ctx.group, order), _lift(phi_hat, p, gf))
     if diff is None:
         phi0 = phi_hat.num(0)
         if phi0 == 0 or phi0 != y1:
@@ -250,19 +290,19 @@ def verify_theorem3(p: int, order: int, inject_fault: bool = False) -> Verificat
 
 
 def verify_theorem2(
-    p: int, max_weight: int, inject_fault: bool = False
+    p: int, max_weight: int, inject_fault: bool = False, ctx: Optional[SeriesContext] = None
 ) -> VerificationReport:
     """Check the weight-partial-sum formula for HH^1 dimensions, three ways.
 
     For every weight w <= max_weight the block value must equal the partial
     sums over rho(pj, empty) and over principal-block center dimensions
-    (doubled when p = 2), and the coefficient of Y(t).  The report's order
-    field records max_weight.
+    (doubled when p = 2), and the coefficient of Y(t), read from ``ctx`` when
+    given.  The report's order field records max_weight.
     """
-    _check_prime(p)
     if max_weight < 1:
         raise ValueError("max_weight must be positive")
-    y = hh1_block_series(p, max_weight + 1)
+    ctx = _context(p, max_weight + 1, ctx)
+    y = truncate(ctx.Y, max_weight + 1)
     if inject_fault:
         y = _bump(y, max(1, max_weight // 2))
     factor = 2 if p == 2 else 1
@@ -270,7 +310,8 @@ def verify_theorem2(
     center_partial = 0
     diff = None
     for w in range(max_weight + 1):
-        value = dim_hh1(principal_block(p, w))
+        block = principal_block(p, w)
+        value = dim_hh1(block)
         for other in (factor * rho_partial, factor * center_partial, y[w]):
             if value != other:
                 diff = (w, value, other)
@@ -278,8 +319,14 @@ def verify_theorem2(
         if diff is not None:
             break
         rho_partial += rho(p * w, EMPTY, p)
-        center_partial += dim_center(principal_block(p, w))
+        center_partial += dim_center(block)
     return _report("thm2", p, max_weight, diff)
+
+
+def _lift(phi: RationalFunction, p: int, gf: Series) -> Series:
+    """t^p phi(t^p) gf, composed by power substitution, to gf's order."""
+    q = gf.order // p + 2
+    return truncate(series_mul(shift(substitute_power(expand(phi, q), p), p), gf), gf.order)
 
 
 def _mask(a: Series, m: int, s: int) -> Series:

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .series import euler_power
+
 
 class Partition:
     """A weakly decreasing tuple of positive integers; the empty tuple is the
@@ -210,8 +212,9 @@ def count_pcores(n: int, p: int) -> int:
     return sum(1 for lam in partitions_of(n) if is_p_core(lam, p))
 
 
-# number of p-tuples of partitions with given total size, cached per p
-_tuple_count_cache: dict[int, list[int]] = {}
+# number of p-tuples of partitions with given total size, cached per p: the
+# coefficients of prod (1 - t^n)^(-p), refilled at twice the size when short
+_tuple_count_cache: dict[int, tuple[int, ...]] = {}
 
 
 def _tuple_partition_count(w: int, p: int) -> int:
@@ -220,17 +223,7 @@ def _tuple_partition_count(w: int, p: int) -> int:
     cache = _tuple_count_cache.get(p)
     if cache is None or len(cache) <= w:
         n = max(w + 1, 2 * len(cache) if cache else 16)
-        single = [0] * n
-        single[0] = 1
-        for k in range(1, n):
-            for m in range(k, n):
-                single[m] += single[m - k]
-        counts = [1] + [0] * (n - 1)
-        for _ in range(p):
-            counts = [
-                sum(counts[j] * single[m - j] for j in range(m + 1)) for m in range(n)
-            ]
-        _tuple_count_cache[p] = cache = counts
+        _tuple_count_cache[p] = cache = euler_power(-p, n).coeffs
     return cache[w]
 
 

@@ -10,7 +10,11 @@ never floats, so identity checks performed with these series are meaningful.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Union
+
+# the one prime check; partitions reads this module's Euler-product kernel
+from . import partitions
 
 Coeff = Union[int, Fraction]
 
@@ -198,46 +202,51 @@ def one(order: int) -> Series:
     return Series([1] + [0] * (order - 1))
 
 
-def partition_gf(order: int) -> Series:
-    """The partition-counting series prod_{n>=1} (1 - t^n)^(-1).
+def euler_power(alpha: int, order: int) -> Series:
+    """The Euler product E(t)^alpha = prod_{n>=1} (1 - t^n)^alpha, any integer alpha.
 
-    Coefficient n is the number of partitions of n.  Computed by the Euler
-    product, one factor at a time; each 1/(1 - t^n) factor is an in-place
-    prefix-sum with stride n, so the whole thing is O(order^2) int additions.
+    By Euler's pentagonal theorem E has O(sqrt(order)) nonzero coefficients,
+    (-1)^j at j(3j -+ 1)/2, so J. C. P. Miller's power recurrence (Knuth,
+    TAOCP Vol. 2, 4.7), n g_n = sum_k ((alpha + 1) k - n) e_k g_{n-k}, costs
+    O(order^1.5).  Each division by n is exact; a remainder raises RuntimeError.
     """
     if order < 1:
         raise ValueError("order must be positive")
-    c = [0] * order
-    c[0] = 1
+    pentagonal = [  # (k, e_k) for the nonzero e_k with 0 < k < order, ascending
+        (k, (-1) ** j)
+        for j in range(1, isqrt(order) + 1)
+        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
+        if k < order
+    ]
+    g = [1] + [0] * (order - 1)
     for n in range(1, order):
-        for k in range(n, order):
-            c[k] += c[k - n]
-    return Series(c)
+        acc = 0
+        for k, e in pentagonal:
+            if k > n:
+                break
+            acc += ((alpha + 1) * k - n) * e * g[n - k]
+        g[n], remainder = divmod(acc, n)
+        if remainder:
+            raise RuntimeError(
+                "inexact division at t^%d of the Euler product to the power %d" % (n, alpha)
+            )
+    return Series(g)
+
+
+def partition_gf(order: int) -> Series:
+    """The partition-counting series prod_{n>=1} (1 - t^n)^(-1) = E(t)^(-1).
+
+    Coefficient n is the number of partitions of n.
+    """
+    return euler_power(-1, order)
 
 
 def pcore_count_gf(p: int, order: int) -> Series:
     """Counting series for p-core partitions: coefficient n is c(n).
 
-    Uses the classical product prod_{n>=1} (1 - t^(pn))^p / (1 - t^n).
-    The combinatorial definition (partitions equal to their own p-core) is
-    what the test suite enumerates against; this product is the fast route.
+    Uses the classical product E(t^p)^p / E(t) = E(t^p)^p * P(t); the test
+    suite enumerates the combinatorial definition against it.
     """
-    _check_prime(p)
-    if order < 1:
-        raise ValueError("order must be positive")
-    c = [0] * order
-    c[0] = 1
-    for n in range(1, order):
-        for k in range(n, order):
-            c[k] += c[k - n]
-    for n in range(1, (order - 1) // p + 1):
-        step = p * n
-        for _ in range(p):
-            for k in range(order - 1, step - 1, -1):
-                c[k] -= c[k - step]
-    return Series(c)
-
-
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise ValueError("p must be prime, got %d" % p)
+    partitions._check_prime(p)
+    lifted = substitute_power(euler_power(p, -(-order // p)), p)
+    return series_mul(lifted, partition_gf(order))

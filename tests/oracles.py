@@ -64,12 +64,31 @@ def is_border_strip(outer: tuple[int, ...], inner: tuple[int, ...]) -> bool:
     return seen == skew
 
 
+def sub_diagrams(parts: tuple[int, ...], k: int):
+    """Yield every partition whose diagram lies inside that of parts, with k
+    fewer cells."""
+    tail = [sum(parts[i:]) for i in range(len(parts) + 1)]
+
+    def rec(i: int, prev: int, left: int, mu: tuple[int, ...]):
+        if left == 0:
+            if i == len(parts) or parts[i] <= prev:
+                yield tuple(x for x in mu + parts[i:] if x)
+            return
+        if left > tail[i]:
+            return
+        for removed in range(max(0, parts[i] - prev), min(left, parts[i]) + 1):
+            yield from rec(i + 1, parts[i] - removed, left - removed, mu + (parts[i] - removed,))
+
+    yield from rec(0, parts[0] if parts else 0, k, ())
+
+
 def strip_removals(parts: tuple[int, ...], p: int) -> list[tuple[int, ...]]:
-    """All partitions obtained from parts by removing one border strip of p cells."""
-    n = sum(parts)
-    if n < p:
-        return []
-    return [mu for mu in asc_partitions(n - p) if is_border_strip(parts, mu)]
+    """All partitions obtained from parts by removing one border strip of p cells.
+
+    Candidates are the sub-diagrams with p fewer cells; is_border_strip keeps
+    those whose difference is a connected skew shape with no 2x2 square.
+    """
+    return [mu for mu in sub_diagrams(parts, p) if is_border_strip(parts, mu)]
 
 
 def strip_core(parts: tuple[int, ...], p: int, pick_last: bool = False) -> tuple[int, ...]:
@@ -94,7 +113,11 @@ def strip_weight(parts: tuple[int, ...], p: int) -> int:
 
 def core_count(n: int, p: int) -> int:
     """Number of partitions of n with no removable border p-strip."""
-    return sum(1 for lam in asc_partitions(n) if not strip_removals(lam, p))
+    return sum(
+        1
+        for lam in asc_partitions(n)
+        if not any(is_border_strip(lam, mu) for mu in sub_diagrams(lam, p))
+    )
 
 
 def partitions_with_core(n: int, core: tuple[int, ...], p: int) -> int:
@@ -108,3 +131,33 @@ def tuple_count(w: int, p: int) -> int:
     if p == 0:
         return 1 if w == 0 else 0
     return sum(partition_count(k) * tuple_count(w - k, p - 1) for k in range(w + 1))
+
+
+def euler_product(alpha: int, order: int) -> list[int]:
+    """prod_{n>=1} (1 - t^n)^alpha to the given order, one factor at a time.
+
+    Each (1 - t^n)^(-1) is an in-place prefix sum with stride n and each
+    (1 - t^n) a stride-n difference: O(|alpha| * order^2) additions, no
+    pentagonal numbers and no division.
+    """
+    c = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        for _ in range(abs(alpha)):
+            if alpha < 0:
+                for k in range(n, order):
+                    c[k] += c[k - n]
+            else:
+                for k in range(order - 1, n - 1, -1):
+                    c[k] -= c[k - n]
+    return c
+
+
+def core_count_series(p: int, order: int) -> list[int]:
+    """The p-core counts prod_{n>=1} (1 - t^(pn))^p / (1 - t^n), by stride sums."""
+    c = euler_product(-1, order)
+    for n in range(1, (order - 1) // p + 1):
+        step = p * n
+        for _ in range(p):
+            for k in range(order - 1, step - 1, -1):
+                c[k] -= c[k - step]
+    return c

@@ -5,6 +5,7 @@ import pytest
 
 from blockhh import cli
 from blockhh.partitions import count_pcores
+from blockhh.series import Series
 
 
 def run(argv):
@@ -125,8 +126,62 @@ def test_verify_fault_injection_exits_one():
 
 
 def test_verify_order_too_small_is_usage_error(capsys):
-    code, _ = run(["verify", "--which", "thm3", "--p", "7", "--order", "20"])
+    code, text = run(["verify", "--which", "thm3", "--p", "7", "--order", "20"])
     assert code == 2
+    assert text == ""
+    # checked before any identity runs, so thm2 prints nothing either
+    code, text = run(["verify", "--which", "all", "--p", "17", "--order", "40"])
+    assert (code, text) == (2, "")
+    assert "need >= 41" in capsys.readouterr().err
+
+
+def test_verify_default_order_fits_every_prime(monkeypatch):
+    monkeypatch.delenv(cli.ORDER_ENV_VAR, raising=False)
+    code, text = run(["verify", "--which", "all", "--p", "17"])
+    assert code == 0
+    lines = text.splitlines()
+    assert len(lines) == 2 + 1 + 17  # thm2, thm3, fitted phi, eq12 per residue
+    assert lines[1] == "thm3 (p=17, order=41): holds"
+    assert text.count("holds") == 19
+
+
+def test_cross_check_failure_exits_one_without_traceback(monkeypatch, capsys):
+    from blockhh import hochschild, series
+
+    def corrupted(alpha, order):
+        good = series.euler_power(alpha, order).coeffs
+        return Series(good[:1] + (good[1] + 1,) + good[2:])
+
+    # only the Z route is corrupted; the P^p guard still uses the true kernel
+    monkeypatch.setattr(hochschild, "euler_power", corrupted)
+    code, text = run(["verify", "--which", "all", "--p", "3", "--order", "30"])
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err.startswith("blockhh: error: ") and err.count("\n") == 1
+    assert "disagree for Z" in err
+
+
+@pytest.mark.parametrize("fault", [False, True])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_verify_shared_context_matches_fresh_verifiers(monkeypatch, p, fault):
+    from blockhh import hochschild as hh
+
+    calls = []
+    for name in ("verify_theorem2", "verify_theorem3", "verify_block_decomposition"):
+
+        def recording(*args, _verifier=getattr(hh, name), **kwargs):
+            report = _verifier(*args, **kwargs)
+            calls.append((_verifier, args, kwargs, report))
+            return report
+
+        monkeypatch.setattr(hh, name, recording)
+    argv = ["verify", "--which", "all", "--p", str(p), "--order", "45"]
+    code, _ = run(argv + (["--inject-fault"] if fault else []))
+    assert code == (1 if fault else 0)
+    assert len(calls) == p + 2
+    assert len({id(kwargs["ctx"]) for _, _, kwargs, _ in calls}) == 1
+    for verifier, args, kwargs, report in calls:
+        assert verifier(*args, **dict(kwargs, ctx=None)) == report
 
 
 def test_oracle_matches():

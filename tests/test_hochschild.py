@@ -1,6 +1,7 @@
 import pytest
 
 from blockhh.hochschild import (
+    SeriesContext,
     VerificationReport,
     Z_series,
     fit_phi,
@@ -210,3 +211,30 @@ def test_report_str_rendering():
     assert "holds" in str(ok)
     bad = verify_block_decomposition(2, 0, 24, inject_fault=True)
     assert "FAILS at t^" in str(bad)
+
+
+def test_context_series_match_standalone_builders():
+    ctx = SeriesContext(3, 30)
+    assert ctx.order == 30
+    assert ctx.P == partition_gf(30)
+    assert ctx.Z == Z_series(3, 30)
+    assert ctx.Y == hh1_block_series(3, 30)
+    assert ctx.group == hh1_group_series(3, 30)
+    assert ctx.phi == fit_phi(3, 30)
+    cores = pcore_count_gf(3, 3 * 12)
+    assert ctx.core_sections == tuple(section(cores, 3, s) for s in range(3))
+    assert ctx.Z is ctx.Z  # built once
+    # eq12 at a tiny order reads Z to order // p + 2, beyond the order itself
+    assert SeriesContext(2, 1).order == 2
+
+
+def test_context_must_cover_the_request():
+    ctx = SeriesContext(3, 30)
+    with pytest.raises(ValueError):
+        verify_theorem3(3, 40, ctx=ctx)
+    with pytest.raises(ValueError):
+        verify_block_decomposition(5, 0, 30, ctx=ctx)
+    with pytest.raises(ValueError):
+        verify_block_decomposition(3, 0, 0, ctx=ctx)
+    with pytest.raises(ValueError):
+        SeriesContext(4, 30)

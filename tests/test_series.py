@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from blockhh.series import (
     Series,
+    euler_power,
     one,
     partition_gf,
     pcore_count_gf,
@@ -185,9 +186,26 @@ def test_pcore_count_gf_p3_at_4():
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_pcore_count_gf_matches_strip_enumeration(p):
-    gf = pcore_count_gf(p, 15)
-    for n in range(15):
+    gf = pcore_count_gf(p, 26)
+    for n in range(26):
         assert gf[n] == oracles.core_count(n, p)
+
+
+@pytest.mark.parametrize("alpha", [-1, -2, -3, -5, -31, 1, 2, 3, 7])
+def test_euler_power_matches_stride_reference(alpha):
+    assert list(euler_power(alpha, 300).coeffs) == oracles.euler_product(alpha, 300)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+def test_pcore_count_gf_matches_stride_reference(p):
+    assert list(pcore_count_gf(p, 301).coeffs) == oracles.core_count_series(p, 301)
+
+
+def test_euler_power_edges():
+    assert euler_power(0, 5) == one(5)
+    assert euler_power(-4, 1) == one(1)
+    with pytest.raises(ValueError):
+        euler_power(-1, 0)
 
 
 def test_pcore_count_gf_matches_count_pcores():
