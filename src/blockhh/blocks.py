@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import EMPTY, Partition, is_p_core, partitions_of, p_core
-from .partitions import count_pcores as _count_pcores
 from .partitions import _check_prime, _tuple_partition_count
+from .series import pcore_count_gf
 
 
 def sylow_exponent(p: int, m: int) -> int:
@@ -129,8 +129,10 @@ def dim_hh1(b: BlockDescriptor) -> int:
 
 
 def count_weight_blocks(p: int, n: int, w: int) -> int:
-    """Number of weight-w blocks of kS_n, i.e. the p-core count c(n - pw)."""
+    """Number of weight-w blocks of kS_n, i.e. the p-core count c(n - pw),
+    read from the core-count series (``count_pcores`` enumerates it)."""
     _check_prime(p)
-    if w < 0 or n - p * w < 0:
+    size = n - p * w
+    if w < 0 or size < 0:
         return 0
-    return _count_pcores(n - p * w, p)
+    return pcore_count_gf(p, size + 1)[size]

@@ -16,6 +16,10 @@ contributes its abelianization (C_2 for m >= 2, trivial otherwise).  Hence
 and the degree-one dimension for kS_n is the sum of these over the cycle
 types of all partitions of n.  None of this touches generating functions,
 which is the point: it is the independent side of every end-to-end check.
+
+``hh1_group_oracle`` visits every class but scores it in one pass over the
+runs of equal parts: 1 if p divides the part, 1 more if p = 2 and it repeats.
+``hom_to_Fp_dim`` on a ``CycleType`` is the definition it is tested against.
 """
 
 from __future__ import annotations
@@ -71,9 +75,16 @@ def hh1_group_oracle(p: int, n: int) -> int:
     _check_prime(p)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    return sum(
-        hom_to_Fp_dim(p, CycleType.from_partition(lam)) for lam in partitions_of(n)
-    )
+    total = 0
+    for lam in partitions_of(n):
+        prev = prev2 = 0  # the two parts before a; parts are positive
+        for a in lam.parts:
+            if a != prev:
+                total += a % p == 0
+            elif p == 2 and a != prev2:
+                total += 1
+            prev2, prev = prev, a
+    return total
 
 
 def dim_center_oracle(n: int) -> int:

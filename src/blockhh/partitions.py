@@ -14,6 +14,10 @@ Runner convention (fixed so round trips are exact): the beta-set length is
 always normalized to a multiple of p, runners are indexed by residue, and the
 bead at abacus row r of runner i carries beta value r*p + i.  Other labeling
 conventions permute the quotient tuple; all yield the same counts.
+
+``partitions_of`` is the iterative ZS1 generator (Zoghbi and Stojmenovic,
+1998).  ``is_p_core`` is the no-p-hook test (James and Kerber, 2.7): no bead
+b of the beta-set has b - p >= 0 free.  ``p_core`` is its ground truth.
 """
 
 from __future__ import annotations
@@ -90,21 +94,36 @@ class CoreQuotient:
 
 
 def partitions_of(n: int) -> list[Partition]:
-    """All partitions of n, in reverse-lexicographic order: (n) first, (1^n) last."""
+    """All partitions of n, in reverse-lexicographic order: (n) first, (1^n) last.
+
+    ZS1: x is the current partition padded with 1s, m its number of parts and
+    h the index of its last part above 1.  Each step lowers x[h] by one and
+    refills the tail greedily with parts no larger than the new x[h].
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    out: list[Partition] = []
-
-    def rec(remaining: int, max_part: int, prefix: list[int]):
-        if remaining == 0:
-            out.append(Partition(prefix))
-            return
-        for k in range(min(remaining, max_part), 0, -1):
-            prefix.append(k)
-            rec(remaining - k, k, prefix)
-            prefix.pop()
-
-    rec(n, n, [])
+    if n == 0:
+        return [Partition(())]
+    x = [1] * n
+    x[0] = n
+    m, h = 1, 0
+    out = [Partition(x[:1])]
+    while x[0] != 1:
+        if x[h] == 2:
+            m, x[h] = m + 1, 1
+            h -= 1
+        else:
+            r, t = x[h] - 1, m - h
+            x[h] = r
+            while t >= r:
+                h += 1
+                x[h] = r
+                t -= r
+            m = h + 2 if t else h + 1
+            if t > 1:
+                h += 1
+                x[h] = t
+        out.append(Partition(x[:m]))
     return out
 
 
@@ -185,8 +204,11 @@ def from_core_quotient(cq: CoreQuotient) -> Partition:
 
 
 def is_p_core(lam: Partition, p: int) -> bool:
-    """Whether the partition equals its own p-core."""
-    return p_core(lam, p) == lam
+    """Whether the partition equals its own p-core: no bead of its beta-set
+    has a free position p below it, i.e. the diagram has no p-hook."""
+    _check_prime(p)
+    beta = set(beta_set(lam, len(lam.parts)))
+    return all(b < p or b - p in beta for b in beta)
 
 
 def rho(n: int, core: Partition, p: int) -> int:

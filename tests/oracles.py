@@ -2,7 +2,7 @@
 
 Everything here recomputes quantities from definitions, by routes deliberately
 different from the package's: partitions are enumerated by the
-ascending-composition algorithm (the package recurses on descending parts),
+ascending-composition algorithm (the package runs ZS1 on descending parts),
 and p-cores are found by literally peeling border strips off Young diagrams
 (the package pushes abacus beads).  Slow on purpose; sizes stay small.
 """

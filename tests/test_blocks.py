@@ -55,20 +55,44 @@ def test_blocks_of_s2_at_p2():
 
 
 def test_weight_block_counts_match_core_counts():
-    for p in (2, 3):
-        for n in range(12):
+    # count_weight_blocks reads the series; count_pcores and blocks_of enumerate
+    for p in (2, 3, 5):
+        for n in range(26):
             by_weight = {}
             for b in blocks_of(p, n):
                 by_weight[b.weight] = by_weight.get(b.weight, 0) + 1
             for w in range(n // p + 1):
                 expected = count_pcores(n - p * w, p)
                 assert by_weight.get(w, 0) == expected == count_weight_blocks(p, n, w)
+    assert count_weight_blocks(2, 3, 2) == count_weight_blocks(2, 3, -1) == 0
+
+
+def _check_blocks_partition_the_partitions(p, n_max):
+    for n in range(n_max):
+        assert sum(rho(n, b.core, p) for b in blocks_of(p, n)) == oracles.partition_count(n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_blocks_partition_the_partitions(p):
-    for n in range(16):
-        assert sum(rho(n, b.core, p) for b in blocks_of(p, n)) == oracles.partition_count(n)
+    _check_blocks_partition_the_partitions(p, 16)
+
+
+def test_core_check_that_accepts_a_non_core_is_caught(monkeypatch):
+    import blockhh.blocks
+
+    non_core = Partition((2,))
+    assert not is_p_core(non_core, 2)
+
+    def faulty(lam, p):
+        return lam == non_core or is_p_core(lam, p)
+
+    monkeypatch.setattr(blockhh.blocks, "is_p_core", faulty)
+    # the descriptor now takes the non-core, blocks_of lists it at n = 2, and
+    # rho's own p_core check refuses it
+    assert make_block(2, non_core, 0).core == non_core
+    assert non_core in [b.core for b in blocks_of(2, 2)]
+    with pytest.raises(ValueError, match="core"):
+        _check_blocks_partition_the_partitions(2, 16)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

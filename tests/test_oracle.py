@@ -2,7 +2,7 @@ import pytest
 
 from blockhh.blocks import blocks_of, dim_hh1
 from blockhh.oracle import CycleType, dim_center_oracle, hh1_group_oracle, hom_to_Fp_dim
-from blockhh.partitions import Partition
+from blockhh.partitions import Partition, partitions_of
 from blockhh.series import partition_gf
 
 
@@ -57,6 +57,22 @@ def test_group_oracle_vanishing_threshold(p):
     for n in range(first_nonzero):
         assert hh1_group_oracle(p, n) == 0
     assert hh1_group_oracle(p, first_nonzero) > 0
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_group_oracle_equals_per_class_definition(p):
+    for n in range(23):
+        expected = sum(
+            hom_to_Fp_dim(p, CycleType.from_partition(lam)) for lam in partitions_of(n)
+        )
+        assert hh1_group_oracle(p, n) == expected
+
+
+def test_group_oracle_rejects_bad_input():
+    with pytest.raises(ValueError):
+        hh1_group_oracle(4, 3)
+    with pytest.raises(ValueError):
+        hh1_group_oracle(2, -1)
 
 
 def test_dim_center_oracle():

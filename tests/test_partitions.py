@@ -43,9 +43,10 @@ def test_partitions_of_four():
 
 
 def test_partitions_reverse_lex_order():
-    for n in range(9):
+    # the ascending-composition enumerator is the independent route
+    for n in range(26):
         parts = [lam.parts for lam in partitions_of(n)]
-        assert parts == sorted(parts, reverse=True)
+        assert parts == sorted(oracles.asc_partitions(n), reverse=True)
 
 
 def test_partitions_count_matches_gf_and_enumeration():
@@ -83,6 +84,21 @@ def test_partition_from_beta_rejects_bad_input():
         partition_from_beta([2, 2])
     with pytest.raises(ValueError):
         partition_from_beta([-1, 0])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_is_p_core_matches_p_core_and_strip_removal(p):
+    for n in range(23):
+        for lam in partitions_of(n):
+            fixed = p_core(lam, p) == lam
+            assert is_p_core(lam, p) == fixed
+            if n <= 14:
+                assert fixed == (not oracles.strip_removals(lam.parts, p))
+
+
+def test_is_p_core_rejects_non_prime():
+    with pytest.raises(ValueError):
+        is_p_core(EMPTY, 4)
 
 
 def test_p_core_fixed_points():
