@@ -12,7 +12,8 @@ being verified, each as an exact coefficientwise identity:
 
 * grouping the symmetric groups by n mod p factors center and HH^1 data
   through the blocks:  sum_n dim Z(kS_{pn+s}) t^{pn+s} = t^s Z(t^p) C_s(t^p),
-  and the same shape with Y for HH^1;
+  and the same shape with Y for HH^1; on p-sections this reads
+  section(P, p, s) = Z C_s and section(group, p, s) = Y C_s;
 * Y(t) = t * phi(t) * Z(t) for a rational phi with phi(0) != 0, and the
   group-level series equals t^p phi(t^p) P(t) where P counts partitions;
 * y_w is the partial-sum formula over smaller principal-block centers,
@@ -21,6 +22,8 @@ being verified, each as an exact coefficientwise identity:
 phi is never assumed: the verifiers reconstruct it from series data by exact
 rational fitting and only then compare against the closed form (2/(1-t) for
 p = 2, 1/(1-t) for p >= 3), so a transcription error in either route fails.
+Each identity is compared in one place, the verifier that reports it; the
+builders return one route each, except for a short P^p prefix guard in Z_series.
 """
 
 from __future__ import annotations
@@ -110,16 +113,16 @@ def phi_r1(p: int) -> RationalFunction:
 
 class SeriesContext:
     """P, Z, Y (from that Z), the group series, the core-count sections and the
-    fitted phi for one prime, each built at most once, on first use, at the
-    largest order a verifier run at ``order`` needs (eq12 reads Z, Y and C_s
-    to order // p + 2, which exceeds a tiny order)."""
+    fitted phi for one prime, each built at most once, on first use, to
+    max(order, 2): eq12 reads Z, Y and C_s only to its section length, at most
+    the order, and thm2 at order 1 reads weight 1."""
 
     def __init__(self, p: int, order: int):
         _check_prime(p)
         if order < 1:
             raise ValueError("order must be positive")
         self.p = p
-        self.order = max(order, order // p + 2)
+        self.order = max(order, 2)
 
     @cached_property
     def P(self) -> Series:
@@ -139,8 +142,8 @@ class SeriesContext:
 
     @cached_property
     def core_sections(self) -> tuple[Series, ...]:
-        """C_s for s = 0..p-1, each to order // p + 2."""
-        cores = pcore_count_gf(self.p, self.p * (self.order // self.p + 2))
+        """C_s for s = 0..p-1, the p-sections of the core counts to the order."""
+        cores = pcore_count_gf(self.p, self.order)
         return tuple(section(cores, self.p, s) for s in range(self.p))
 
     @cached_property
@@ -167,24 +170,19 @@ def hh1_block_series(p: int, order: int, ctx: Optional[SeriesContext] = None) ->
 
 
 def hh1_group_series(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Series:
-    """sum_n dim HH^1(kS_n) t^n, built twice and compared.
+    """sum_n dim HH^1(kS_n) t^n: the closed-form factor 2t^2/(1-t^2) (p = 2)
+    or t^p/(1-t^p) (p >= 3) expanded against the partition series.
 
-    Route one expands the closed-form factor 2t^2/(1-t^2) (p = 2) or
-    t^p/(1-t^p) (p >= 3) against the partition series; route two composes
-    t^p * phi(t^p) by power substitution.  They must agree coefficientwise.
-    The partition series is read from ``ctx`` when given.
+    thm3 compares it with the substitution route t^p phi(t^p) P(t), and the
+    oracle with the class enumeration.  The partition series is read from
+    ``ctx`` when given.
     """
     gf = truncate(_context(p, order, ctx).P, order)
     lead = 2 if p == 2 else 1
     factor = RationalFunction(
         Polynomial([0] * p + [lead]), Polynomial([1] + [0] * (p - 1) + [-1])
     )
-    closed = series_mul(expand(factor, order), gf)
-    if closed != _lift(phi_r1(p), p, gf):
-        raise RuntimeError(
-            "closed-form and substitution routes disagree for hh1_group_series(p=%d)" % p
-        )
-    return closed
+    return series_mul(expand(factor, order), gf)
 
 
 def theorem3_min_order(p: int) -> int:
@@ -223,26 +221,25 @@ def verify_block_decomposition(
     """Check the residue-s factorizations of the group center and HH^1 series.
 
     Left sides are computed without block theory (partition counts; the
-    doubly-constructed group HH^1 series); right sides are t^s Z(t^p) C_s(t^p)
-    and t^s Y(t^p) C_s(t^p).  ``inject_fault`` bumps one C_s coefficient, a
+    closed-form group HH^1 series); right sides are t^s Z(t^p) C_s(t^p) and
+    t^s Y(t^p) C_s(t^p).  Both are compared on s-th p-sections, section(P, p, s)
+    against Z C_s, to m = ceil((order - s) / p) terms; a mismatch at section
+    index k is reported at t^(pk + s).  ``inject_fault`` bumps C_s[1], a
     self-test that the comparison actually bites.  Series are read from ``ctx``
     when given.
     """
     ctx = _context(p, order, ctx)
     if not 0 <= s < p:
         raise ValueError("residue %d out of range 0..%d" % (s, p - 1))
-    q = order // p + 2
-    cs = truncate(ctx.core_sections[s], q)
+    lhs = section(truncate(ctx.P, order), p, s)
+    m = lhs.order
+    cs = truncate(ctx.core_sections[s], m)
     if inject_fault:
-        cs = _bump(cs, min(1, cs.order - 1))
-    cs_p = substitute_power(cs, p)
-
-    def through_blocks(f: Series) -> Series:  # t^s f(t^p) C_s(t^p)
-        return truncate(shift(series_mul(substitute_power(truncate(f, q), p), cs_p), s), order)
-
-    diff = _first_diff(_mask(truncate(ctx.P, order), p, s), through_blocks(ctx.Z))
+        cs = _bump(cs, 1)
+    diff = _first_diff(lhs, series_mul(truncate(ctx.Z, m), cs), p, s)
     if diff is None:
-        diff = _first_diff(_mask(truncate(ctx.group, order), p, s), through_blocks(ctx.Y))
+        group = section(truncate(ctx.group, order), p, s)
+        diff = _first_diff(group, series_mul(truncate(ctx.Y, m), cs), p, s)
     return _report("eq12:s=%d" % s, p, order, diff)
 
 
@@ -250,7 +247,9 @@ def verify_theorem3(
     p: int, order: int, inject_fault: bool = False, ctx: Optional[SeriesContext] = None
 ) -> VerificationReport:
     """Check Y(t) = t phi(t) Z(t) and the group series = t^p phi(t^p) P(t),
-    with phi reconstructed by rational fitting rather than assumed.
+    with phi reconstructed by rational fitting rather than assumed.  Once the
+    fit equals the closed form, the group check is the one comparison of the
+    group series' closed-form and substitution routes.
 
     Also checks that the fitted phi matches the closed form, has nonzero
     constant term, and that this constant term is the weight-1 dimension.
@@ -329,10 +328,6 @@ def _lift(phi: RationalFunction, p: int, gf: Series) -> Series:
     return truncate(series_mul(shift(substitute_power(expand(phi, q), p), p), gf), gf.order)
 
 
-def _mask(a: Series, m: int, s: int) -> Series:
-    return Series(c if n % m == s else 0 for n, c in enumerate(a.coeffs))
-
-
 def _bump(a: Series, k: int) -> Series:
     return Series(c + 1 if n == k else c for n, c in enumerate(a.coeffs))
 
@@ -340,10 +335,11 @@ def _bump(a: Series, k: int) -> Series:
 _log = logging.getLogger(__name__)
 
 
-def _first_diff(lhs: Series, rhs: Series) -> Optional[Discrepancy]:
-    # reports carry only the first mismatch; the full diff shows at DEBUG
+def _first_diff(lhs: Series, rhs: Series, p: int = 1, s: int = 0) -> Optional[Discrepancy]:
+    # reports carry only the first mismatch; the full diff shows at DEBUG.
+    # Sections pass p and s, so index n is reported as exponent pn + s.
     diffs = [
-        (n, lhs[n], rhs[n])
+        (p * n + s, lhs[n], rhs[n])
         for n in range(min(lhs.order, rhs.order))
         if lhs[n] != rhs[n]
     ]

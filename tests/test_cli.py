@@ -175,13 +175,38 @@ def test_verify_shared_context_matches_fresh_verifiers(monkeypatch, p, fault):
             return report
 
         monkeypatch.setattr(hh, name, recording)
-    argv = ["verify", "--which", "all", "--p", str(p), "--order", "45"]
-    code, _ = run(argv + (["--inject-fault"] if fault else []))
-    assert code == (1 if fault else 0)
-    assert len(calls) == p + 2
-    assert len({id(kwargs["ctx"]) for _, _, kwargs, _ in calls}) == 1
-    for verifier, args, kwargs, report in calls:
-        assert verifier(*args, **dict(kwargs, ctx=None)) == report
+    # thm2 and eq12 alone also run at orders 1-3, where the context is smallest
+    runs = [("all", 45)] + [(which, o) for which in ("thm2", "eq12") for o in (1, 2, 3)]
+    for which, order in runs:
+        calls.clear()
+        argv = ["verify", "--which", which, "--p", str(p), "--order", str(order)]
+        code, _ = run(argv + (["--inject-fault"] if fault else []))
+        assert len(calls) == {"all": p + 2, "thm2": 1, "eq12": p}[which]
+        assert code == (0 if all(report.holds for *_, report in calls) else 1)
+        if which == "all" or not fault:
+            assert code == (1 if fault else 0)
+        assert len({id(kwargs["ctx"]) for _, _, kwargs, _ in calls}) == 1
+        for verifier, args, kwargs, report in calls:
+            assert verifier(*args, **dict(kwargs, ctx=None)) == report
+
+
+@pytest.mark.parametrize("which", ["thm3", "eq12", "all"])
+def test_group_series_fault_fails_where_it_is_compared(monkeypatch, which):
+    from blockhh import hochschild as hh
+
+    def bumped(p, order, ctx=None, _built=hh.hh1_group_series):
+        good = _built(p, order, ctx).coeffs
+        return Series(good[:7] + (good[7] + 1,) + good[8:])
+
+    monkeypatch.setattr(hh, "hh1_group_series", bumped)
+    code, text = run(["verify", "--which", which, "--p", "3", "--order", "30"])
+    assert code == 1
+    lines = text.splitlines()
+    thm3 = "thm3 (p=3, order=30): FAILS at t^7 (lhs=7, rhs=6)"
+    eq12 = "eq12:s=1 (p=3, order=30): FAILS at t^7 (lhs=7, rhs=6)"
+    assert (thm3 in lines) == (which != "eq12")
+    assert (eq12 in lines) == (which != "thm3")
+    assert sum("FAILS" in line for line in lines) == (2 if which == "all" else 1)
 
 
 def test_oracle_matches():

@@ -1,3 +1,6 @@
+import logging
+import re
+
 import pytest
 
 from blockhh.hochschild import (
@@ -133,6 +136,35 @@ def test_block_decomposition_detects_fault():
     assert lhs != rhs and 0 <= exponent < 30
 
 
+def test_block_decomposition_fault_reported_at_its_exponent():
+    # the fault bumps C_s[1], section index 1, which is t^(p + s) in the group series
+    P = partition_gf(100)
+    for p in (2, 3, 5, 7, 11):
+        for order in list(range(1, 40)) + [100]:
+            ctx = SeriesContext(p, order)
+            for s in range(p):
+                report = verify_block_decomposition(p, s, order, inject_fault=True, ctx=ctx)
+                if p + s < order:
+                    assert report.first_discrepancy == (p + s, P[p + s], P[p + s] + 1)
+                else:
+                    assert report.holds
+
+
+@pytest.mark.parametrize("p,s", [(2, 1), (3, 2), (5, 0)])
+def test_block_decomposition_debug_log_lists_exponents(caplog, p, s):
+    with caplog.at_level(logging.DEBUG, logger="blockhh.hochschild"):
+        report = verify_block_decomposition(p, s, 40, inject_fault=True)
+    exponents = [
+        int(m.group(1))
+        for m in (re.match(r"coefficient mismatch at t\^(\d+):", r.getMessage())
+                  for r in caplog.records)
+        if m
+    ]
+    assert exponents and exponents[0] == p + s == report.first_discrepancy[0]
+    assert all(e % p == s and e < 40 for e in exponents)
+    assert exponents == sorted(set(exponents))
+
+
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_theorem3_holds(p):
     report = verify_theorem3(p, 60)
@@ -221,10 +253,10 @@ def test_context_series_match_standalone_builders():
     assert ctx.Y == hh1_block_series(3, 30)
     assert ctx.group == hh1_group_series(3, 30)
     assert ctx.phi == fit_phi(3, 30)
-    cores = pcore_count_gf(3, 3 * 12)
+    cores = pcore_count_gf(3, 30)
     assert ctx.core_sections == tuple(section(cores, 3, s) for s in range(3))
     assert ctx.Z is ctx.Z  # built once
-    # eq12 at a tiny order reads Z to order // p + 2, beyond the order itself
+    # thm2 at order 1 checks weight 1, so it reads Y to order 2
     assert SeriesContext(2, 1).order == 2
 
 
