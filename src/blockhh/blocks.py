@@ -13,14 +13,16 @@ block's p-core, i.e. rho(n, core, p), for *all* blocks: for principal blocks
 this is the character count directly, and the general case is forced from it
 by weight-only dependence.  The first Hochschild cohomology dimension is the
 weight-partial-sum formula: (2 if p == 2 else 1) * sum_{j<w} rho(pj, empty).
+
+``blocks_of`` checks p once, then filters candidates with ``_no_p_hook``;
+``BlockDescriptor`` keeps every one of its checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .partitions import EMPTY, Partition, is_p_core, partitions_of, p_core
-from .partitions import _check_prime, _tuple_partition_count
+from .partitions import EMPTY, Partition, partitions_of, p_core
+from .partitions import _check_prime, _no_p_hook, _tuple_partition_count
+from .record import Record
 from .series import pcore_count_gf
 
 
@@ -37,8 +39,7 @@ def sylow_exponent(p: int, m: int) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class BlockDescriptor:
+class BlockDescriptor(Record):
     """A block of kS_n: its p-core, weight, and defect-group order exponent.
 
     n and core are redundant given the weight, but carrying both makes
@@ -46,17 +47,13 @@ class BlockDescriptor:
     tie |core| + p*weight = n and the Sylow defect exponent.
     """
 
-    p: int
-    n: int
-    core: Partition
-    weight: int
-    defect_order_exp: int
+    __slots__ = ("p", "n", "core", "weight", "defect_order_exp")
 
     def __post_init__(self):
         _check_prime(self.p)
         if self.weight < 0:
             raise ValueError("weight must be nonnegative")
-        if not is_p_core(self.core, self.p):
+        if not _no_p_hook(self.core, self.p):  # is_p_core, p checked above
             raise ValueError("core %r is not its own %d-core" % (self.core, self.p))
         if self.core.size + self.p * self.weight != self.n:
             raise ValueError(
@@ -99,7 +96,7 @@ def blocks_of(p: int, n: int) -> list[BlockDescriptor]:
     out = []
     for w in range(n // p, -1, -1):
         for lam in partitions_of(n - p * w):
-            if is_p_core(lam, p):
+            if _no_p_hook(lam, p):  # is_p_core, with p checked once above
                 out.append(make_block(p, lam, w))
     return out
 

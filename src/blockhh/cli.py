@@ -8,8 +8,6 @@ decimal, no floats).  Exit codes: 0 success or all identities verified,
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from typing import Iterable
@@ -71,6 +69,8 @@ def default_order() -> int:
 
 def canonical_json(obj) -> str:
     """The one JSON rendering: sorted keys, two-space indent, exact ints."""
+    import json  # json and csv load only for the format that uses them
+
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
@@ -85,6 +85,8 @@ def _emit(command: str, params: dict, headers: list[str], rows: list[dict], fmt:
         out.write(canonical_json({"command": command, "params": params, "rows": rows}))
         out.write("\n")
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(out)
         writer.writerow(headers)
         for row in rows:

@@ -28,14 +28,13 @@ builders return one route each, except for a short P^p prefix guard in Z_series.
 
 from __future__ import annotations
 
-import logging
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
 from .blocks import dim_center, dim_hh1, principal_block
 from .partitions import EMPTY, rho, _check_prime
 from .rational import Polynomial, RationalFunction, expand, rational_fit
+from .record import Record
 from .series import (
     Coeff,
     Series,
@@ -53,15 +52,10 @@ from .series import (
 Discrepancy = tuple[int, Coeff, Coeff]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(Record):
     """Outcome of one identity check: all-or-nothing, first mismatch recorded."""
 
-    identity_name: str
-    p: int
-    order: int
-    holds: bool
-    first_discrepancy: Optional[Discrepancy]
+    __slots__ = ("identity_name", "p", "order", "holds", "first_discrepancy")
 
     def __post_init__(self):
         if self.holds != (self.first_discrepancy is None):
@@ -143,7 +137,7 @@ class SeriesContext:
     @cached_property
     def core_sections(self) -> tuple[Series, ...]:
         """C_s for s = 0..p-1, the p-sections of the core counts to the order."""
-        cores = pcore_count_gf(self.p, self.order)
+        cores = pcore_count_gf(self.p, self.order, self.P)
         return tuple(section(cores, self.p, s) for s in range(self.p))
 
     @cached_property
@@ -332,9 +326,6 @@ def _bump(a: Series, k: int) -> Series:
     return Series(c + 1 if n == k else c for n, c in enumerate(a.coeffs))
 
 
-_log = logging.getLogger(__name__)
-
-
 def _first_diff(lhs: Series, rhs: Series, p: int = 1, s: int = 0) -> Optional[Discrepancy]:
     # reports carry only the first mismatch; the full diff shows at DEBUG.
     # Sections pass p and s, so index n is reported as exponent pn + s.
@@ -343,9 +334,12 @@ def _first_diff(lhs: Series, rhs: Series, p: int = 1, s: int = 0) -> Optional[Di
         for n in range(min(lhs.order, rhs.order))
         if lhs[n] != rhs[n]
     ]
-    if diffs and _log.isEnabledFor(logging.DEBUG):
+    if diffs:
+        import logging  # loaded only once a mismatch is found
+
+        log = logging.getLogger(__name__)
         for n, a, b in diffs:
-            _log.debug("coefficient mismatch at t^%d: lhs=%s rhs=%s", n, a, b)
+            log.debug("coefficient mismatch at t^%d: lhs=%s rhs=%s", n, a, b)
     return diffs[0] if diffs else None
 
 

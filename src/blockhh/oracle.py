@@ -24,16 +24,14 @@ runs of equal parts: 1 if p divides the part, 1 more if p = 2 and it repeats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .partitions import Partition, partitions_of, _check_prime
+from .record import Record
 
 
-@dataclass(frozen=True)
-class CycleType:
+class CycleType(Record):
     """Multiset of cycle lengths, stored as sorted (length, multiplicity) pairs."""
 
-    multiplicities: tuple[tuple[int, int], ...]
+    __slots__ = ("multiplicities",)
 
     def __post_init__(self):
         for a, m in self.multiplicities:

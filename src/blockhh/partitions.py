@@ -18,13 +18,16 @@ conventions permute the quotient tuple; all yield the same counts.
 ``partitions_of`` is the iterative ZS1 generator (Zoghbi and Stojmenovic,
 1998).  ``is_p_core`` is the no-p-hook test (James and Kerber, 2.7): no bead
 b of the beta-set has b - p >= 0 free.  ``p_core`` is its ground truth.
+``Partition(...)`` validates, but ``partitions_of`` and ``partition_from_beta``
+build valid parts and skip the checks.  ``is_p_core`` checks p, then runs
+``_no_p_hook``, which callers that have checked p call directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .record import Record
 from .series import euler_power
 
 
@@ -43,6 +46,13 @@ class Partition:
                 raise ValueError("parts must be weakly decreasing: %r" % (parts,))
         self.parts = parts
         self.size = sum(parts)
+
+    @classmethod
+    def _trusted(cls, parts: tuple, size: int) -> "Partition":
+        """A partition an internal producer built valid, and its size: no checks."""
+        lam = object.__new__(cls)
+        lam.parts, lam.size = parts, size
+        return lam
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
@@ -68,16 +78,13 @@ class Partition:
 EMPTY = Partition(())
 
 
-@dataclass(frozen=True)
-class CoreQuotient:
+class CoreQuotient(Record):
     """A p-core together with the ordered p-tuple of runner partitions.
 
     The partition it came from has size |core| + p * (total quotient size).
     """
 
-    core: Partition
-    quotient: tuple[Partition, ...]
-    p: int
+    __slots__ = ("core", "quotient", "p")
 
     def __post_init__(self):
         if len(self.quotient) != self.p:
@@ -103,11 +110,12 @@ def partitions_of(n: int) -> list[Partition]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n == 0:
-        return [Partition(())]
+        return [EMPTY]
+    trusted = Partition._trusted
     x = [1] * n
     x[0] = n
     m, h = 1, 0
-    out = [Partition(x[:1])]
+    out = [trusted((n,), n)]
     while x[0] != 1:
         if x[h] == 2:
             m, x[h] = m + 1, 1
@@ -123,7 +131,7 @@ def partitions_of(n: int) -> list[Partition]:
             if t > 1:
                 h += 1
                 x[h] = t
-        out.append(Partition(x[:m]))
+        out.append(trusted(tuple(x[:m]), n))
     return out
 
 
@@ -151,8 +159,10 @@ def partition_from_beta(beta: Sequence[int]) -> Partition:
         raise ValueError("beta numbers must be nonnegative")
     if len(set(b)) != L:
         raise ValueError("beta numbers must be distinct")
-    parts = [b[i] - (L - 1 - i) for i in range(L)]
-    return Partition([x for x in parts if x > 0])
+    parts = tuple(b[i] - (L - 1 - i) for i in range(L) if b[i] > L - 1 - i)
+    if all(type(x) is int for x in parts):  # distinct nonnegative ints decode validly
+        return Partition._trusted(parts, sum(parts))
+    return Partition(parts)  # the public check rejects the non-integer part
 
 
 def _runner_counts(beta: Sequence[int], p: int) -> list[int]:
@@ -207,8 +217,18 @@ def is_p_core(lam: Partition, p: int) -> bool:
     """Whether the partition equals its own p-core: no bead of its beta-set
     has a free position p below it, i.e. the diagram has no p-hook."""
     _check_prime(p)
-    beta = set(beta_set(lam, len(lam.parts)))
-    return all(b < p or b - p in beta for b in beta)
+    return _no_p_hook(lam, p)
+
+
+def _no_p_hook(lam: Partition, p: int) -> bool:
+    """``is_p_core`` for a p already checked prime; the beta-set of length
+    len(parts) is read straight from the parts."""
+    L = len(lam.parts)
+    beta = {x + L - i for i, x in enumerate(lam.parts, 1)}
+    for b in beta:
+        if b >= p and b - p not in beta:
+            return False
+    return True
 
 
 def rho(n: int, core: Partition, p: int) -> int:

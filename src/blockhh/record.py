@@ -1,0 +1,43 @@
+"""Frozen value records: the fields are the ``__slots__``, in order.
+
+Construction is positional or by keyword, then ``__post_init__`` validates;
+equality, hash and repr go by the field values, as for a frozen dataclass,
+and assignment or deletion raises AttributeError.
+"""
+
+
+class Record:
+    __slots__ = ()
+
+    def __init__(self, *args, **kwargs):
+        names = self.__slots__
+        values = dict(zip(names, args), **kwargs)
+        if len(values) != len(args) + len(kwargs) or set(values) != set(names):
+            raise TypeError("%s takes the fields %s" % (type(self).__name__, ", ".join(names)))
+        for name in names:
+            object.__setattr__(self, name, values[name])
+        self.__post_init__()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # unpickling goes through the constructor's checks
+        return type(self), self._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join("%s=%r" % (name, getattr(self, name)) for name in self.__slots__)
+        return "%s(%s)" % (type(self).__name__, fields)

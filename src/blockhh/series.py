@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 # the one prime check; partitions reads this module's Euler-product kernel
 from . import partitions
@@ -40,6 +40,13 @@ class Series:
 
     def __init__(self, coeffs: Iterable[Coeff]):
         self.coeffs: tuple[Coeff, ...] = tuple(_coeff(c) for c in coeffs)
+
+    @classmethod
+    def _trusted(cls, coeffs: tuple) -> "Series":
+        """A series from a tuple of coefficients already normalized: no checks."""
+        a = object.__new__(cls)
+        a.coeffs = coeffs
+        return a
 
     @property
     def order(self) -> int:
@@ -150,7 +157,7 @@ def shift(a: Series, k: int) -> Series:
     is not divisible by t^(-k) raises ValueError.
     """
     if k >= 0:
-        return Series((0,) * k + a.coeffs)
+        return Series._trusted((0,) * k + a.coeffs)
     k = -k
     if k > a.order:
         raise ValueError("cannot divide by t^%d: only %d coefficients known" % (k, a.order))
@@ -160,7 +167,7 @@ def shift(a: Series, k: int) -> Series:
                 "series is not divisible by t^%d: coefficient of t^%d is %s"
                 % (k, i, a.coeffs[i])
             )
-    return Series(a.coeffs[k:])
+    return Series._trusted(a.coeffs[k:])
 
 
 def substitute_power(a: Series, m: int) -> Series:
@@ -168,9 +175,8 @@ def substitute_power(a: Series, m: int) -> Series:
     if m < 1:
         raise ValueError("substitution power must be >= 1, got %d" % m)
     out = [0] * (m * a.order)
-    for n, c in enumerate(a.coeffs):
-        out[m * n] = c
-    return Series(out)
+    out[::m] = a.coeffs
+    return Series._trusted(tuple(out))
 
 
 def section(a: Series, m: int, s: int) -> Series:
@@ -183,7 +189,7 @@ def section(a: Series, m: int, s: int) -> Series:
         raise ValueError("section modulus must be >= 1, got %d" % m)
     if not 0 <= s < m:
         raise ValueError("section residue %d out of range 0..%d" % (s, m - 1))
-    return Series(a.coeffs[s::m])
+    return Series._trusted(a.coeffs[s::m])
 
 
 def truncate(a: Series, order: int) -> Series:
@@ -192,7 +198,7 @@ def truncate(a: Series, order: int) -> Series:
         raise ValueError("order must be nonnegative")
     if order > a.order:
         raise ValueError("cannot extend a series known only to order %d" % a.order)
-    return Series(a.coeffs[:order])
+    return Series._trusted(a.coeffs[:order])
 
 
 def one(order: int) -> Series:
@@ -230,7 +236,7 @@ def euler_power(alpha: int, order: int) -> Series:
             raise RuntimeError(
                 "inexact division at t^%d of the Euler product to the power %d" % (n, alpha)
             )
-    return Series(g)
+    return Series._trusted(tuple(g))
 
 
 def partition_gf(order: int) -> Series:
@@ -241,12 +247,13 @@ def partition_gf(order: int) -> Series:
     return euler_power(-1, order)
 
 
-def pcore_count_gf(p: int, order: int) -> Series:
+def pcore_count_gf(p: int, order: int, P: Optional[Series] = None) -> Series:
     """Counting series for p-core partitions: coefficient n is c(n).
 
     Uses the classical product E(t^p)^p / E(t) = E(t^p)^p * P(t); the test
-    suite enumerates the combinatorial definition against it.
+    suite enumerates the combinatorial definition against it.  P is the
+    partition series to at least ``order``, built here unless given.
     """
     partitions._check_prime(p)
     lifted = substitute_power(euler_power(p, -(-order // p)), p)
-    return series_mul(lifted, partition_gf(order))
+    return series_mul(lifted, partition_gf(order) if P is None else truncate(P, order))

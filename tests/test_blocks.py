@@ -86,7 +86,9 @@ def test_core_check_that_accepts_a_non_core_is_caught(monkeypatch):
     def faulty(lam, p):
         return lam == non_core or is_p_core(lam, p)
 
-    monkeypatch.setattr(blockhh.blocks, "is_p_core", faulty)
+    # blocks_of's candidate filter and the descriptor's core check share one
+    # unchecked predicate; a fault in it reaches both
+    monkeypatch.setattr(blockhh.blocks, "_no_p_hook", faulty)
     # the descriptor now takes the non-core, blocks_of lists it at n = 2, and
     # rho's own p_core check refuses it
     assert make_block(2, non_core, 0).core == non_core

@@ -281,3 +281,25 @@ def test_entrypoint_exits_with_status():
         assert exc.value.code == 0
     finally:
         sys.argv = argv
+
+
+def test_cli_start_loads_no_unused_stdlib_modules():
+    import os
+    import subprocess
+    import sys
+
+    import blockhh
+
+    src = os.path.dirname(os.path.dirname(blockhh.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    show = "import sys; print(' '.join(sys.modules))"
+
+    def loaded(prelude):
+        code = prelude + show
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        return set(out.split())
+
+    added = loaded("import blockhh.cli; ") - loaded("")
+    assert "blockhh.cli" in added
+    assert not added & {"dataclasses", "inspect", "logging", "json", "csv"}

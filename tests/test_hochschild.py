@@ -260,6 +260,25 @@ def test_context_series_match_standalone_builders():
     assert SeriesContext(2, 1).order == 2
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 31])
+def test_core_sections_build_the_partition_series_once(monkeypatch, p):
+    from blockhh import hochschild, series
+
+    cores = pcore_count_gf(p, 70)
+    assert pcore_count_gf(p, 70, partition_gf(90)) == cores
+    built = []
+
+    def counted(order):
+        built.append(order)
+        return partition_gf(order)
+
+    monkeypatch.setattr(series, "partition_gf", counted)
+    monkeypatch.setattr(hochschild, "partition_gf", counted)
+    ctx = SeriesContext(p, 70)
+    assert ctx.core_sections == tuple(section(cores, p, s) for s in range(p))
+    assert built == [70]
+
+
 def test_context_must_cover_the_request():
     ctx = SeriesContext(3, 30)
     with pytest.raises(ValueError):

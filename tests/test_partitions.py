@@ -49,6 +49,20 @@ def test_partitions_reverse_lex_order():
         assert parts == sorted(oracles.asc_partitions(n), reverse=True)
 
 
+def _rechecked(*lams):
+    """Each partition equals its rebuild through the validating constructor."""
+    for lam in lams:
+        checked = Partition(lam.parts)
+        assert lam == checked and lam.size == checked.size
+    return lams[0]
+
+
+def test_enumerated_partitions_pass_the_public_check():
+    for n in range(26):
+        for lam in partitions_of(n):
+            assert _rechecked(lam).size == n
+
+
 def test_partitions_count_matches_gf_and_enumeration():
     gf = partition_gf(31)
     for n in range(14):
@@ -76,7 +90,7 @@ def test_beta_roundtrip():
         for lam in partitions_of(n):
             for extra in range(4):
                 length = len(lam.parts) + extra
-                assert partition_from_beta(beta_set(lam, length)) == lam
+                assert _rechecked(partition_from_beta(beta_set(lam, length))) == lam
 
 
 def test_partition_from_beta_rejects_bad_input():
@@ -84,6 +98,8 @@ def test_partition_from_beta_rejects_bad_input():
         partition_from_beta([2, 2])
     with pytest.raises(ValueError):
         partition_from_beta([-1, 0])
+    with pytest.raises(ValueError, match="positive integers"):
+        partition_from_beta([3.0, 1])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
@@ -99,6 +115,9 @@ def test_is_p_core_matches_p_core_and_strip_removal(p):
 def test_is_p_core_rejects_non_prime():
     with pytest.raises(ValueError):
         is_p_core(EMPTY, 4)
+    for p in (0, 1, 9):
+        with pytest.raises(ValueError, match="prime"):
+            is_p_core(Partition((3, 1)), p)
 
 
 def test_p_core_fixed_points():
@@ -157,7 +176,9 @@ def test_from_core_quotient_of_trivial():
 def test_roundtrip_partition_to_core_quotient(p):
     for n in range(13):
         for lam in partitions_of(n):
-            assert from_core_quotient(p_quotient(lam, p)) == lam
+            cq = p_quotient(lam, p)
+            _rechecked(cq.core, *cq.quotient)
+            assert _rechecked(from_core_quotient(cq)) == lam
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -173,7 +194,9 @@ def test_roundtrip_core_quotient_to_partition(p):
     for core in cores:
         for quotient in quotients:
             cq = CoreQuotient(core=core, quotient=quotient, p=p)
-            assert p_quotient(from_core_quotient(cq), p) == cq
+            back = p_quotient(_rechecked(from_core_quotient(cq)), p)
+            _rechecked(back.core, *back.quotient)
+            assert back == cq
 
 
 def _tuples_of_partitions(total, p):
@@ -190,7 +213,8 @@ def _tuples_of_partitions(total, p):
 @given(partition_strategy, st.sampled_from([2, 3, 5]))
 def test_roundtrip_property(lam, p):
     cq = p_quotient(lam, p)
-    assert from_core_quotient(cq) == lam
+    _rechecked(cq.core, *cq.quotient)
+    assert _rechecked(from_core_quotient(cq)) == lam
     assert lam.size == cq.core.size + p * cq.weight
 
 

@@ -217,6 +217,26 @@ def test_pcore_count_gf_matches_count_pcores():
             assert gf[n] == count_pcores(n, p)
 
 
+@pytest.mark.parametrize(
+    "coeffs",
+    [[3, -1, 0, 7, 2, 5], [Fraction(1, 2), 3, Fraction(-5, 3), 0, 1, Fraction(7, 4)]],
+)
+def test_unchecked_helpers_equal_the_validating_constructor(coeffs):
+    a = Series(coeffs)
+    results = [
+        truncate(a, 4),
+        section(a, 2, 1),
+        section(a, 3, 0),
+        shift(a, 2),
+        shift(shift(a, 2), -2),
+        substitute_power(a, 3),
+    ] + [euler_power(alpha, 40) for alpha in (-3, -1, 0, 2)]
+    for r in results:
+        checked = Series(list(r.coeffs))
+        assert type(r.coeffs) is tuple and r == checked
+        assert [type(c) for c in r.coeffs] == [type(c) for c in checked.coeffs]
+
+
 def test_rejects_float_coefficients():
     with pytest.raises(TypeError):
         Series([1.0, 2.0])
