@@ -6,7 +6,6 @@ against combinatorial or group-theoretic routes, with all arithmetic exact.
 
 from .blocks import (
     BlockDescriptor,
-    block_of_partition,
     blocks_of,
     count_weight_blocks,
     dim_center,
@@ -27,13 +26,12 @@ from .hochschild import (
     verify_theorem3,
     y1_formula,
 )
-from .oracle import CycleType, dim_center_oracle, hh1_group_oracle, hom_to_Fp_dim
+from .oracle import CycleType, hh1_group_oracle, hom_to_Fp_dim
 from .partitions import (
     EMPTY,
     CoreQuotient,
     Partition,
     beta_set,
-    count_pcores,
     from_core_quotient,
     is_p_core,
     p_core,
@@ -76,13 +74,10 @@ __all__ = [
     "VerificationReport",
     "Z_series",
     "beta_set",
-    "block_of_partition",
     "blocks_of",
-    "count_pcores",
     "count_weight_blocks",
     "descend",
     "dim_center",
-    "dim_center_oracle",
     "dim_hh1",
     "expand",
     "fit_phi",

@@ -13,6 +13,8 @@ block's p-core, i.e. rho(n, core, p), for *all* blocks: for principal blocks
 this is the character count directly, and the general case is forced from it
 by weight-only dependence.  The first Hochschild cohomology dimension is the
 weight-partial-sum formula: (2 if p == 2 else 1) * sum_{j<w} rho(pj, empty).
+Both read the count series Z = E(t)^(-p), whose t^w coefficient is
+z_w = rho(pw, empty); a caller listing many blocks passes Z in, built once.
 
 ``blocks_of`` checks p once, then filters candidates with ``_no_p_hook``;
 ``BlockDescriptor`` keeps every one of its checks.
@@ -20,10 +22,12 @@ weight-partial-sum formula: (2 if p == 2 else 1) * sum_{j<w} rho(pj, empty).
 
 from __future__ import annotations
 
-from .partitions import EMPTY, Partition, partitions_of, p_core
-from .partitions import _check_prime, _no_p_hook, _tuple_partition_count
+from typing import Optional
+
+from .partitions import EMPTY, Partition, partitions_of
+from .partitions import _check_prime, _no_p_hook, _tuple_counts
 from .record import Record
-from .series import pcore_count_gf
+from .series import Series, pcore_count_gf
 
 
 def sylow_exponent(p: int, m: int) -> int:
@@ -101,33 +105,28 @@ def blocks_of(p: int, n: int) -> list[BlockDescriptor]:
     return out
 
 
-def block_of_partition(lam: Partition, p: int) -> BlockDescriptor:
-    """The block of kS_(|lam|) containing the character labeled by lam."""
-    core = p_core(lam, p)
-    return make_block(p, core, (lam.size - core.size) // p)
-
-
-def dim_center(b: BlockDescriptor) -> int:
+def dim_center(b: BlockDescriptor, Z: Optional[Series] = None) -> int:
     """Dimension of the block's center: rho(n, core, p), the p-tuples of
-    partitions of total size weight (the descriptor validated the core)."""
-    return _tuple_partition_count(b.weight, b.p)
+    partitions of total size weight, the coefficient z_w of the count series
+    Z (the descriptor validated the core)."""
+    return _tuple_counts(b.p, b.weight, Z)[b.weight]
 
 
-def dim_hh1(b: BlockDescriptor) -> int:
+def dim_hh1(b: BlockDescriptor, Z: Optional[Series] = None) -> int:
     """Dimension of the block's first Hochschild cohomology.
 
     The weight-partial-sum formula: twice the sum of the principal-block
-    center dimensions sum_{j=0}^{w-1} rho(pj, empty) when p = 2, and the
-    plain sum for p >= 3.  Zero exactly at weight 0, strictly positive for
-    every positive-weight (equivalently, positive-defect) block.
+    center dimensions z_0 + ... + z_(w-1) of the count series Z when p = 2,
+    and the plain sum for p >= 3.  Zero exactly at weight 0, strictly
+    positive for every positive-weight (equivalently, positive-defect) block.
     """
     factor = 2 if b.p == 2 else 1
-    return factor * sum(_tuple_partition_count(j, b.p) for j in range(b.weight))
+    return factor * sum(_tuple_counts(b.p, b.weight, Z)[: b.weight])
 
 
 def count_weight_blocks(p: int, n: int, w: int) -> int:
     """Number of weight-w blocks of kS_n, i.e. the p-core count c(n - pw),
-    read from the core-count series (``count_pcores`` enumerates it)."""
+    read from the core-count series (``blocks_of`` enumerates the cores)."""
     _check_prime(p)
     size = n - p * w
     if w < 0 or size < 0:

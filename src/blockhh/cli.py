@@ -15,7 +15,7 @@ from typing import Iterable
 from . import blocks as blocks_mod
 from . import hochschild as hh
 from .partitions import Partition, _check_prime
-from .series import Series, partition_gf, pcore_count_gf, section
+from .series import Series, euler_power, partition_gf, pcore_count_gf, section
 
 FALLBACK_ORDER = 40
 ORDER_ENV_VAR = "BLOCKHH_ORDER_DEFAULT"
@@ -53,16 +53,11 @@ def default_order() -> int:
     try:
         v = int(raw)
     except ValueError:
-        print(
-            "blockhh: error: %s must be an integer, got %r" % (ORDER_ENV_VAR, raw),
-            file=sys.stderr,
-        )
-        raise SystemExit(2)
-    if v < 1:
-        print(
-            "blockhh: error: %s must be positive, got %d" % (ORDER_ENV_VAR, v),
-            file=sys.stderr,
-        )
+        problem = "be an integer, got %r" % raw
+    else:
+        problem = "be positive, got %d" % v if v < 1 else None
+    if problem:
+        print("blockhh: error: %s must %s" % (ORDER_ENV_VAR, problem), file=sys.stderr)
         raise SystemExit(2)
     return v
 
@@ -110,6 +105,7 @@ def _int_coeff(c) -> int:
 
 
 def cmd_blocks(args, out) -> int:
+    counts = euler_power(-args.p, args.n // args.p + 1)  # Z past every weight listed
     rows = []
     for b in blocks_mod.blocks_of(args.p, args.n):
         rows.append(
@@ -119,8 +115,8 @@ def cmd_blocks(args, out) -> int:
                 "core": _core_str(b.core),
                 "weight": b.weight,
                 "defect_order_exp": b.defect_order_exp,
-                "dim_center": blocks_mod.dim_center(b),
-                "dim_hh1": blocks_mod.dim_hh1(b),
+                "dim_center": blocks_mod.dim_center(b, counts),
+                "dim_hh1": blocks_mod.dim_hh1(b, counts),
             }
         )
     headers = ["p", "n", "core", "weight", "defect_order_exp", "dim_center", "dim_hh1"]

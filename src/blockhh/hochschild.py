@@ -291,11 +291,16 @@ def verify_theorem2(
     sums over rho(pj, empty) and over principal-block center dimensions
     (doubled when p = 2), and the coefficient of Y(t), read from ``ctx`` when
     given.  The report's order field records max_weight.
+
+    The block side reads a count series E(t)^(-p) built here, not ctx.Z.  Y
+    is built from ctx.Z, thm3 sees only their ratio, and eq12 reads ctx.Z
+    only to order/p: past that, a fault in Z_series shows here alone.
     """
     if max_weight < 1:
         raise ValueError("max_weight must be positive")
     ctx = _context(p, max_weight + 1, ctx)
     y = truncate(ctx.Y, max_weight + 1)
+    counts = euler_power(-p, max_weight + 1)
     if inject_fault:
         y = _bump(y, max(1, max_weight // 2))
     factor = 2 if p == 2 else 1
@@ -304,15 +309,15 @@ def verify_theorem2(
     diff = None
     for w in range(max_weight + 1):
         block = principal_block(p, w)
-        value = dim_hh1(block)
+        value = dim_hh1(block, counts)
         for other in (factor * rho_partial, factor * center_partial, y[w]):
             if value != other:
                 diff = (w, value, other)
                 break
         if diff is not None:
             break
-        rho_partial += rho(p * w, EMPTY, p)
-        center_partial += dim_center(block)
+        rho_partial += rho(p * w, EMPTY, p, counts)
+        center_partial += dim_center(block, counts)
     return _report("thm2", p, max_weight, diff)
 
 

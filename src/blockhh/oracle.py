@@ -83,10 +83,3 @@ def hh1_group_oracle(p: int, n: int) -> int:
                 total += 1
             prev2, prev = prev, a
     return total
-
-
-def dim_center_oracle(n: int) -> int:
-    """dim Z(kS_n): the number of conjugacy classes, i.e. partitions of n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return len(partitions_of(n))

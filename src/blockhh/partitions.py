@@ -21,14 +21,18 @@ b of the beta-set has b - p >= 0 free.  ``p_core`` is its ground truth.
 ``Partition(...)`` validates, but ``partitions_of`` and ``partition_from_beta``
 build valid parts and skip the checks.  ``is_p_core`` checks p, then runs
 ``_no_p_hook``, which callers that have checked p call directly.
+
+``rho`` reads one coefficient of the count series Z = E(t)^(-p), p-tuples of
+partitions by total size.  A caller that needs many passes Z in, built once;
+otherwise each call builds Z to the weight it needs.  Nothing is cached.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .record import Record
-from .series import euler_power
+from .series import Series, euler_power
 
 
 class Partition:
@@ -189,15 +193,11 @@ def p_core(lam: Partition, p: int) -> Partition:
 def p_quotient(lam: Partition, p: int) -> CoreQuotient:
     """Split a partition into its p-core and the p-tuple of runner partitions."""
     _check_prime(p)
-    L = _normalized_length(len(lam.parts), p)
-    beta = beta_set(lam, L)
-    counts = _runner_counts(beta, p)
-    quotient = []
-    for i in range(p):
-        rows = [(b - i) // p for b in beta if b % p == i]
-        quotient.append(partition_from_beta(rows))
-    pushed = [r * p + i for i in range(p) for r in range(counts[i])]
-    return CoreQuotient(core=partition_from_beta(pushed), quotient=tuple(quotient), p=p)
+    beta = beta_set(lam, _normalized_length(len(lam.parts), p))
+    quotient = tuple(
+        partition_from_beta([(b - i) // p for b in beta if b % p == i]) for i in range(p)
+    )
+    return CoreQuotient(core=p_core(lam, p), quotient=quotient, p=p)
 
 
 def from_core_quotient(cq: CoreQuotient) -> Partition:
@@ -231,42 +231,33 @@ def _no_p_hook(lam: Partition, p: int) -> bool:
     return True
 
 
-def rho(n: int, core: Partition, p: int) -> int:
+def rho(n: int, core: Partition, p: int, Z: Optional[Series] = None) -> int:
     """Number of partitions of n whose p-core is the given core.
 
     Zero unless n >= |core| and n == |core| (mod p); otherwise it equals the
     number of p-tuples of partitions of total size (n - |core|) / p, by the
-    core/quotient bijection.
+    core/quotient bijection: a coefficient of the count series Z = E(t)^(-p),
+    read from ``Z`` when given (see ``_tuple_counts``).
     """
     _check_prime(p)
     if p_core(core, p) != core:
         raise ValueError("core %r is not its own %d-core" % (core, p))
     if n < core.size or (n - core.size) % p != 0:
         return 0
-    return _tuple_partition_count((n - core.size) // p, p)
+    w = (n - core.size) // p
+    return _tuple_counts(p, w, Z)[w]
 
 
-def count_pcores(n: int, p: int) -> int:
-    """Number of partitions of n equal to their own p-core, by enumeration."""
-    _check_prime(p)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return sum(1 for lam in partitions_of(n) if is_p_core(lam, p))
-
-
-# number of p-tuples of partitions with given total size, cached per p: the
-# coefficients of prod (1 - t^n)^(-p), refilled at twice the size when short
-_tuple_count_cache: dict[int, tuple[int, ...]] = {}
-
-
-def _tuple_partition_count(w: int, p: int) -> int:
-    if w < 0:
-        raise ValueError("total size must be nonnegative")
-    cache = _tuple_count_cache.get(p)
-    if cache is None or len(cache) <= w:
-        n = max(w + 1, 2 * len(cache) if cache else 16)
-        _tuple_count_cache[p] = cache = euler_power(-p, n).coeffs
-    return cache[w]
+def _tuple_counts(p: int, w: int, Z: Optional[Series]) -> tuple[int, ...]:
+    """Coefficients of Z = E(t)^(-p) through t^w at least: built here unless
+    given, and a given Z must be known past t^w and start 1 + p t."""
+    if Z is None:
+        return euler_power(-p, w + 1).coeffs
+    if Z.order <= w:
+        raise ValueError("count series known to order %d, weight %d needs more" % (Z.order, w))
+    if Z.coeffs[:2] != (1, p)[: Z.order]:
+        raise ValueError("count series starting %r is not E(t)^(-%d)" % (Z.coeffs[:2], p))
+    return Z.coeffs
 
 
 def _normalized_length(nparts: int, p: int) -> int:

@@ -49,18 +49,6 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + (0,) * (n - len(self.coeffs))
-        b = other.coeffs + (0,) * (n - len(other.coeffs))
-        return Polynomial(x + y for x, y in zip(a, b))
-
-    def __neg__(self) -> "Polynomial":
-        return Polynomial(-c for c in self.coeffs)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
-
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         if self.is_zero or other.is_zero:
             return Polynomial()
@@ -185,14 +173,6 @@ class RationalFunction:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
     def substitute_power(self, m: int) -> "RationalFunction":
         """The substitution t -> t^m on the whole function."""
         return RationalFunction(
@@ -230,7 +210,7 @@ def expand(f: RationalFunction, order: int) -> Series:
         for k in range(1, min(n, len(d) - 1) + 1):
             acc -= d[k] * out[n - k]
         out.append(_coeff(Fraction(acc) * inv0 if acc else 0))
-    return Series(out)
+    return Series._trusted(tuple(out))
 
 
 def rational_fit(

@@ -69,15 +69,6 @@ class Series:
     def __add__(self, other: "Series") -> "Series":
         return series_add(self, other)
 
-    def __sub__(self, other: "Series") -> "Series":
-        return series_add(self, -other)
-
-    def __neg__(self) -> "Series":
-        return Series(-c for c in self.coeffs)
-
-    def __mul__(self, other: "Series") -> "Series":
-        return series_mul(self, other)
-
     def __pow__(self, k: int) -> "Series":
         if k < 0:
             raise ValueError("negative power; invert explicitly with series_inv")
@@ -146,7 +137,7 @@ def series_inv(a: Series) -> Series:
             if ak != 0:
                 acc += ak * out[n - k]
         out.append(_coeff(Fraction(-acc) / a0 if acc else 0))
-    return Series(out)
+    return Series._trusted(tuple(out))
 
 
 def shift(a: Series, k: int) -> Series:

@@ -5,11 +5,18 @@ different from the package's: partitions are enumerated by the
 ascending-composition algorithm (the package runs ZS1 on descending parts),
 and p-cores are found by literally peeling border strips off Young diagrams
 (the package pushes abacus beads).  Slow on purpose; sizes stay small.
+
+The last three functions are enumeration routes that used to be public in the
+package and had no caller there but the tests.  They keep the package's own
+enumeration (ZS1, abacus cores) and are tested against the routes above.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+
+from blockhh.blocks import BlockDescriptor, make_block
+from blockhh.partitions import Partition, _check_prime, is_p_core, p_core, partitions_of
 
 
 def asc_partitions(n: int) -> list[tuple[int, ...]]:
@@ -161,3 +168,24 @@ def core_count_series(p: int, order: int) -> list[int]:
             for k in range(order - 1, step - 1, -1):
                 c[k] -= c[k - step]
     return c
+
+
+def count_pcores(n: int, p: int) -> int:
+    """Number of partitions of n equal to their own p-core, by enumeration."""
+    _check_prime(p)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return sum(1 for lam in partitions_of(n) if is_p_core(lam, p))
+
+
+def dim_center_oracle(n: int) -> int:
+    """dim Z(kS_n): the number of conjugacy classes, i.e. partitions of n."""
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    return len(partitions_of(n))
+
+
+def block_of_partition(lam: Partition, p: int) -> BlockDescriptor:
+    """The block of kS_(|lam|) containing the character labeled by lam."""
+    core = p_core(lam, p)
+    return make_block(p, core, (lam.size - core.size) // p)

@@ -1,0 +1,48 @@
+"""The package's public names: what ``blockhh/__init__`` imports is what it exports."""
+
+import ast
+from pathlib import Path
+
+import blockhh
+
+MOVED_TO_TESTS = {"count_pcores", "dim_center_oracle", "block_of_partition"}
+
+
+def _imported_public_names() -> set[str]:
+    tree = ast.parse(Path(blockhh.__file__).read_text())
+    return {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not (alias.asname or alias.name).startswith("_")
+    }
+
+
+def test_every_exported_name_resolves():
+    for name in blockhh.__all__:
+        assert getattr(blockhh, name) is not None, name
+    assert len(set(blockhh.__all__)) == len(blockhh.__all__)
+
+
+def test_exports_are_exactly_the_imported_public_names():
+    assert set(blockhh.__all__) == _imported_public_names()
+
+
+def test_test_only_routes_are_not_in_the_package():
+    from blockhh import blocks, oracle, partitions
+
+    assert not MOVED_TO_TESTS & set(blockhh.__all__)
+    for module in (blockhh, blocks, oracle, partitions):
+        assert not MOVED_TO_TESTS & set(vars(module)), module.__name__
+
+
+def test_no_module_holds_mutable_state():
+    import importlib
+    import pkgutil
+
+    for info in pkgutil.iter_modules(blockhh.__path__):
+        module = importlib.import_module("blockhh." + info.name)
+        for name, value in vars(module).items():
+            if not name.startswith("__"):
+                assert not isinstance(value, (dict, list, set, bytearray)), (module, name)

@@ -2,7 +2,6 @@ import pytest
 
 from blockhh.blocks import (
     BlockDescriptor,
-    block_of_partition,
     blocks_of,
     count_weight_blocks,
     dim_center,
@@ -14,12 +13,12 @@ from blockhh.blocks import (
 from blockhh.partitions import (
     EMPTY,
     Partition,
-    count_pcores,
     is_p_core,
     p_core,
     partitions_of,
     rho,
 )
+from blockhh.series import euler_power
 
 import oracles
 
@@ -62,7 +61,7 @@ def test_weight_block_counts_match_core_counts():
             for b in blocks_of(p, n):
                 by_weight[b.weight] = by_weight.get(b.weight, 0) + 1
             for w in range(n // p + 1):
-                expected = count_pcores(n - p * w, p)
+                expected = oracles.count_pcores(n - p * w, p)
                 assert by_weight.get(w, 0) == expected == count_weight_blocks(p, n, w)
     assert count_weight_blocks(2, 3, 2) == count_weight_blocks(2, 3, -1) == 0
 
@@ -102,15 +101,15 @@ def test_every_partition_maps_to_a_listed_block(p):
     for n in range(13):
         listed = blocks_of(p, n)
         assert len(set(listed)) == len(listed)
-        hit = {block_of_partition(lam, p) for lam in partitions_of(n)}
+        hit = {oracles.block_of_partition(lam, p) for lam in partitions_of(n)}
         assert hit == set(listed)
 
 
 def test_block_of_partition_examples():
     for p in (2, 3, 5):
-        b = block_of_partition(EMPTY, p)
+        b = oracles.block_of_partition(EMPTY, p)
         assert (b.n, b.weight) == (0, 0)
-    b = block_of_partition(Partition((2, 1)), 3)
+    b = oracles.block_of_partition(Partition((2, 1)), 3)
     assert (b.n, b.weight, b.core) == (3, 1, EMPTY)
 
 
@@ -119,7 +118,8 @@ def test_same_block_iff_same_core(p):
     for n in range(13):
         for lam in partitions_of(n):
             for mu in partitions_of(n):
-                same = block_of_partition(lam, p) == block_of_partition(mu, p)
+                block = oracles.block_of_partition
+                same = block(lam, p) == block(mu, p)
                 assert same == (p_core(lam, p) == p_core(mu, p))
 
 
@@ -178,3 +178,30 @@ def test_positive_weight_blocks_have_positive_hh1(p):
 def test_dim_hh1_strictly_increasing_in_weight(p):
     values = [dim_hh1(principal_block(p, w)) for w in range(12)]
     assert all(b > a for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 31])
+def test_count_series_given_or_built_gives_the_tuple_counts(p):
+    Z = euler_power(-p, 31)
+    factor = 2 if p == 2 else 1
+    core = next(lam for n in (4, 3) for lam in partitions_of(n) if is_p_core(lam, p))
+    for w in range(31):
+        b = principal_block(p, w)
+        expected = oracles.tuple_count(w, p)
+        assert rho(p * w, EMPTY, p) == rho(p * w, EMPTY, p, Z) == expected
+        assert rho(core.size + p * w, core, p, Z) == expected
+        assert dim_center(b) == dim_center(b, Z) == expected
+        hh1 = factor * sum(oracles.tuple_count(j, p) for j in range(w))
+        assert dim_hh1(b) == dim_hh1(b, Z) == hh1
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_count_series_too_short_or_for_another_prime_is_refused(p):
+    b = principal_block(p, 5)
+    other = 3 if p == 2 else 2
+    for bad in (euler_power(-p, 5), euler_power(-other, 20)):
+        for read in (dim_center, dim_hh1, lambda b, Z: rho(b.n, EMPTY, p, Z)):
+            with pytest.raises(ValueError, match="count series"):
+                read(b, bad)
+    # a series of order one is the same for every prime and serves weight 0
+    assert dim_center(principal_block(p, 0), euler_power(-other, 1)) == 1

@@ -4,8 +4,9 @@ import json
 import pytest
 
 from blockhh import cli
-from blockhh.partitions import count_pcores
 from blockhh.series import Series
+
+import oracles
 
 
 def run(argv):
@@ -33,7 +34,7 @@ def test_blocks_s2():
 def test_blocks_s3_row_count_from_core_counts():
     code, doc = run_json(["blocks", "--p", "3", "--n", "3"])
     assert code == 0
-    expected = sum(count_pcores(3 - 3 * w, 3) for w in range(2))
+    expected = sum(oracles.count_pcores(3 - 3 * w, 3) for w in range(2))
     assert len(doc["rows"]) == expected
     assert all(r["weight"] == 1 for r in doc["rows"])
 
@@ -209,6 +210,25 @@ def test_group_series_fault_fails_where_it_is_compared(monkeypatch, which):
     assert sum("FAILS" in line for line in lines) == (2 if which == "all" else 1)
 
 
+def test_z_fault_past_the_sections_fails_in_thm2(monkeypatch):
+    from blockhh import hochschild as hh
+
+    def bumped(p, order, _built=hh.Z_series):
+        good = _built(p, order).coeffs
+        return Series(good[:20] + (good[20] + 1,) + good[21:])
+
+    # eq12 reads Z only to order/p = 20 and thm3 only sees Y/Z, built from the
+    # same Z; thm2's block side reads its own count series, so it alone fails
+    monkeypatch.setattr(hh, "Z_series", bumped)
+    code, text = run(["verify", "--which", "thm2", "--p", "3", "--order", "60"])
+    assert code == 1
+    assert text.startswith("thm2 (p=3, order=30): FAILS at t^21 ")
+    code, text = run(["verify", "--which", "all", "--p", "3", "--order", "60"])
+    lines = text.splitlines()
+    assert code == 1
+    assert [line for line in lines if "FAILS" in line] == lines[:1]
+
+
 def test_oracle_matches():
     for p in ("2", "3"):
         code, doc = run_json(["oracle", "--p", p, "--n-max", "10"])
@@ -268,6 +288,23 @@ def test_env_var_overrides_default_order(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         run(["series", "--name", "P"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "raw, message",
+    [
+        ("zero", "must be an integer, got 'zero'"),
+        ("0", "must be positive, got 0"),
+        ("-3", "must be positive, got -3"),
+    ],
+)
+def test_env_var_errors_name_the_problem(monkeypatch, capsys, raw, message):
+    monkeypatch.setenv(cli.ORDER_ENV_VAR, raw)
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "--which", "thm2", "--p", "2"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err == "blockhh: error: %s %s\n" % (cli.ORDER_ENV_VAR, message)
 
 
 def test_entrypoint_exits_with_status():
