@@ -24,6 +24,8 @@ rational fitting and only then compare against the closed form (2/(1-t) for
 p = 2, 1/(1-t) for p >= 3), so a transcription error in either route fails.
 Each identity is compared in one place, the verifier that reports it; the
 builders return one route each, except for a short P^p prefix guard in Z_series.
+Every product by a closed form (phi, the group factor, t^p phi(t^p)) is the one
+sparse recurrence series_mul_ratio; eq12 and the phi fit keep dense series_mul.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ from .series import (
     section,
     series_inv,
     series_mul,
+    series_mul_ratio,
     shift,
-    substitute_power,
     truncate,
 )
 
@@ -137,7 +139,7 @@ class SeriesContext:
     @cached_property
     def core_sections(self) -> tuple[Series, ...]:
         """C_s for s = 0..p-1, the p-sections of the core counts to the order."""
-        cores = pcore_count_gf(self.p, self.order, self.P)
+        cores = pcore_count_gf(self.p, self.order)
         return tuple(section(cores, self.p, s) for s in range(self.p))
 
     @cached_property
@@ -159,13 +161,14 @@ def hh1_block_series(p: int, order: int, ctx: Optional[SeriesContext] = None) ->
 
     Y = t phi Z with the closed-form phi; Z is read from ``ctx`` when given.
     """
-    z = truncate(_context(p, order, ctx).Z, order)
-    return truncate(shift(series_mul(expand(phi_r1(p), order), z), 1), order)
+    z = truncate(_context(p, order, ctx).Z, order - 1)
+    phi = phi_r1(p)
+    return shift(series_mul_ratio(z, phi.num.coeffs, phi.den.coeffs), 1)
 
 
 def hh1_group_series(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Series:
     """sum_n dim HH^1(kS_n) t^n: the closed-form factor 2t^2/(1-t^2) (p = 2)
-    or t^p/(1-t^p) (p >= 3) expanded against the partition series.
+    or t^p/(1-t^p) (p >= 3) applied to the partition series.
 
     thm3 compares it with the substitution route t^p phi(t^p) P(t), and the
     oracle with the class enumeration.  The partition series is read from
@@ -173,10 +176,7 @@ def hh1_group_series(p: int, order: int, ctx: Optional[SeriesContext] = None) ->
     """
     gf = truncate(_context(p, order, ctx).P, order)
     lead = 2 if p == 2 else 1
-    factor = RationalFunction(
-        Polynomial([0] * p + [lead]), Polynomial([1] + [0] * (p - 1) + [-1])
-    )
-    return series_mul(expand(factor, order), gf)
+    return series_mul_ratio(gf, (0,) * p + (lead,), (1,) + (0,) * (p - 1) + (-1,))
 
 
 def theorem3_min_order(p: int) -> int:
@@ -254,7 +254,7 @@ def verify_theorem3(
         raise ValueError("order %d too small; need >= %d" % (order, theorem3_min_order(p)))
     ctx = _context(p, order, ctx)
     y = truncate(ctx.Y, order)
-    z = truncate(ctx.Z, order)
+    z = truncate(ctx.Z, order - 1)
     gf = truncate(ctx.P, order)
     y1 = y1_formula(p, 1)
     phi_hat = ctx.phi
@@ -272,7 +272,7 @@ def verify_theorem3(
             # agreement to this order pins the function within the degree bounds
             assert phi_hat == phi_r1(p)
     if diff is None:
-        diff = _first_diff(y, truncate(shift(series_mul(expand(phi_hat, order), z), 1), order))
+        diff = _first_diff(y, shift(series_mul_ratio(z, phi_hat.num.coeffs, phi_hat.den.coeffs), 1))
     if diff is None:
         diff = _first_diff(truncate(ctx.group, order), _lift(phi_hat, p, gf))
     if diff is None:
@@ -322,9 +322,9 @@ def verify_theorem2(
 
 
 def _lift(phi: RationalFunction, p: int, gf: Series) -> Series:
-    """t^p phi(t^p) gf, composed by power substitution, to gf's order."""
-    q = gf.order // p + 2
-    return truncate(series_mul(shift(substitute_power(expand(phi, q), p), p), gf), gf.order)
+    """t^p phi(t^p) gf to gf's order, substituting t -> t^p on phi's polynomials."""
+    num, den = phi.num.substitute_power(p).shift(p), phi.den.substitute_power(p)
+    return series_mul_ratio(gf, num.coeffs, den.coeffs)
 
 
 def _bump(a: Series, k: int) -> Series:

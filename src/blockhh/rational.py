@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
-from .series import Coeff, Series, _coeff
+from .series import Coeff, Series, _coeff, one, series_mul_ratio
 
 
 class Polynomial:
@@ -192,25 +192,9 @@ class RationalFunction:
 
 
 def expand(f: RationalFunction, order: int) -> Series:
-    """Power-series expansion of f at 0, to the given order.
-
-    Requires the (canonical) denominator to be nonzero at 0; the coefficients
-    satisfy the exact recurrence num_n = sum_k den_k * s_(n-k).
-    """
-    if order < 1:
-        raise ValueError("order must be positive")
-    d = f.den.coeffs
-    if not d or d[0] == 0:
-        raise ValueError("denominator vanishes at 0: no power-series expansion")
-    n_coeffs = f.num.coeffs
-    inv0 = Fraction(1) / d[0]
-    out: list[Coeff] = []
-    for n in range(order):
-        acc = n_coeffs[n] if n < len(n_coeffs) else 0
-        for k in range(1, min(n, len(d) - 1) + 1):
-            acc -= d[k] * out[n - k]
-        out.append(_coeff(Fraction(acc) * inv0 if acc else 0))
-    return Series._trusted(tuple(out))
+    """Power-series expansion of f at 0, to the given order: series_mul_ratio
+    applied to 1.  Requires the denominator to be nonzero at 0."""
+    return series_mul_ratio(one(order), f.num.coeffs, f.den.coeffs)
 
 
 def rational_fit(
@@ -218,9 +202,9 @@ def rational_fit(
 ) -> Optional[RationalFunction]:
     """Reconstruct a rational function from a series prefix, or None.
 
-    Solves the Pade-style linear system num = den * s (mod t^order) with
-    den(0) = 1, exactly over the rationals, and accepts the solution only
-    if its re-expansion reproduces every supplied coefficient.  Returns None
+    Solves the Pade system num = den * s (mod t^(L+M+1)), L and M the degree
+    bounds, with den(0) = 1, exactly over the rationals, and accepts the
+    solution only if its re-expansion reproduces every supplied coefficient.  Returns None
     when no function within the degree bounds matches.  The series must carry
     at least max_num_deg + max_den_deg + 2 coefficients, so the system is
     overdetermined; a shorter series is a usage error, not a failed fit.
@@ -233,14 +217,15 @@ def rational_fit(
             "series order %d too small for a (%d, %d) fit: need at least %d"
             % (s.order, max_num_deg, max_den_deg, needed)
         )
+    # Square Pade system: the M = max_den_deg equations at t^(L+1..L+M) only.
+    # If s is rational within the bounds, every solution of these L+M+1
+    # congruences num = den * s is that function (Baker & Graves-Morris, Pade
+    # Approximants, Thm 1.1); re-expanding against all of s stays overdetermined.
     c = s.coeffs
-    rows = []
-    rhs = []
-    for k in range(max_num_deg + 1, s.order):
-        rows.append(
-            [Fraction(c[k - j]) if k - j >= 0 else Fraction(0) for j in range(1, max_den_deg + 1)]
-        )
-        rhs.append(Fraction(-c[k]))
+    eqs = range(max_num_deg + 1, max_num_deg + max_den_deg + 1)
+    rows = [[Fraction(c[k - j]) if k >= j else Fraction(0) for j in range(1, max_den_deg + 1)]
+            for k in eqs]
+    rhs = [Fraction(-c[k]) for k in eqs]
     q = _solve_exact(rows, rhs, max_den_deg)
     if q is None:
         return None

@@ -6,17 +6,25 @@ ascending-composition algorithm (the package runs ZS1 on descending parts),
 and p-cores are found by literally peeling border strips off Young diagrams
 (the package pushes abacus beads).  Slow on purpose; sizes stay small.
 
-The last three functions are enumeration routes that used to be public in the
-package and had no caller there but the tests.  They keep the package's own
-enumeration (ZS1, abacus cores) and are tested against the routes above.
+Three functions after those are enumeration routes that used to be public in
+the package and had no caller there but the tests.  They keep the package's
+own enumeration (ZS1, abacus cores) and are tested against the routes above.
+
+The last three are the package's former dense loops for expansion, inversion
+and the full-system rational fit, kept unchanged as ground truth for the
+sparse recurrence ``series_mul_ratio`` and the square Pade solve.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
+from typing import Optional
 
 from blockhh.blocks import BlockDescriptor, make_block
 from blockhh.partitions import Partition, _check_prime, is_p_core, p_core, partitions_of
+from blockhh.rational import Polynomial, RationalFunction, _solve_exact
+from blockhh.series import Coeff, Series, _coeff
 
 
 def asc_partitions(n: int) -> list[tuple[int, ...]]:
@@ -189,3 +197,86 @@ def block_of_partition(lam: Partition, p: int) -> BlockDescriptor:
     """The block of kS_(|lam|) containing the character labeled by lam."""
     core = p_core(lam, p)
     return make_block(p, core, (lam.size - core.size) // p)
+
+
+def expand_reference(f: RationalFunction, order: int) -> Series:
+    """Power-series expansion of f at 0, to the given order.
+
+    Requires the (canonical) denominator to be nonzero at 0; the coefficients
+    satisfy the exact recurrence num_n = sum_k den_k * s_(n-k).
+    """
+    if order < 1:
+        raise ValueError("order must be positive")
+    d = f.den.coeffs
+    if not d or d[0] == 0:
+        raise ValueError("denominator vanishes at 0: no power-series expansion")
+    n_coeffs = f.num.coeffs
+    inv0 = Fraction(1) / d[0]
+    out: list[Coeff] = []
+    for n in range(order):
+        acc = n_coeffs[n] if n < len(n_coeffs) else 0
+        for k in range(1, min(n, len(d) - 1) + 1):
+            acc -= d[k] * out[n - k]
+        out.append(_coeff(Fraction(acc) * inv0 if acc else 0))
+    return Series._trusted(tuple(out))
+
+
+def series_inv_reference(a: Series) -> Series:
+    """Multiplicative inverse of a unit series, to ``a.order``.
+
+    Requires a nonzero constant coefficient; the usual triangular recurrence
+    b_n = -(sum_{k=1}^{n} a_k b_{n-k}) / a_0 is exact over the rationals.
+    """
+    if a.order == 0:
+        raise ValueError("cannot invert a series with no known coefficients")
+    a0 = a.coeffs[0]
+    if a0 == 0:
+        raise ValueError("series is not a unit: constant coefficient is zero")
+    inv0 = Fraction(1, 1) / a0
+    out: list[Coeff] = [_coeff(inv0)]
+    for n in range(1, a.order):
+        acc = 0
+        for k in range(1, n + 1):
+            ak = a.coeffs[k]
+            if ak != 0:
+                acc += ak * out[n - k]
+        out.append(_coeff(Fraction(-acc) / a0 if acc else 0))
+    return Series._trusted(tuple(out))
+
+
+def rational_fit_reference(
+    s: Series, max_num_deg: int, max_den_deg: int
+) -> Optional[RationalFunction]:
+    """The full-system fit: every equation num = den * s at t^(L+1..order-1).
+
+    Solved exactly over the rationals with den(0) = 1; the solution is
+    accepted only if its re-expansion reproduces every supplied coefficient.
+    """
+    if max_num_deg < 0 or max_den_deg < 0:
+        raise ValueError("degree bounds must be nonnegative")
+    needed = max_num_deg + max_den_deg + 2
+    if s.order < needed:
+        raise ValueError(
+            "series order %d too small for a (%d, %d) fit: need at least %d"
+            % (s.order, max_num_deg, max_den_deg, needed)
+        )
+    c = s.coeffs
+    rows = []
+    rhs = []
+    for k in range(max_num_deg + 1, s.order):
+        rows.append(
+            [Fraction(c[k - j]) if k - j >= 0 else Fraction(0) for j in range(1, max_den_deg + 1)]
+        )
+        rhs.append(Fraction(-c[k]))
+    q = _solve_exact(rows, rhs, max_den_deg)
+    if q is None:
+        return None
+    qfull = [Fraction(1)] + q
+    num = [
+        sum((qfull[j] * c[k - j] for j in range(min(k, max_den_deg) + 1)), Fraction(0))
+        for k in range(max_num_deg + 1)
+    ]
+    f = RationalFunction(Polynomial(num), Polynomial(qfull))
+    if expand_reference(f, s.order) != s:
+        return None
+    return f

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import pytest
 
@@ -227,6 +228,45 @@ def test_z_fault_past_the_sections_fails_in_thm2(monkeypatch):
     lines = text.splitlines()
     assert code == 1
     assert [line for line in lines if "FAILS" in line] == lines[:1]
+
+
+def bump_kernel_in(monkeypatch, module, caller):
+    """Bump t^7 of series_mul_ratio's output, only when ``caller`` calls it."""
+    real = module.series_mul_ratio
+
+    def bumped(a, num, den):
+        out = real(a, num, den)
+        if sys._getframe(1).f_code.co_name != caller:
+            return out
+        return Series(out.coeffs[:7] + (out.coeffs[7] + 1,) + out.coeffs[8:])
+
+    monkeypatch.setattr(module, "series_mul_ratio", bumped)
+
+
+def test_kernel_fault_in_the_group_series_fails_oracle_and_eq12(monkeypatch):
+    from blockhh import hochschild
+
+    bump_kernel_in(monkeypatch, hochschild, "hh1_group_series")
+    code, doc = run_json(["oracle", "--p", "3", "--n-max", "12"])
+    assert code == 1
+    assert [r["n"] for r in doc["rows"] if not r["match"]] == [7]
+    code, text = run(["verify", "--which", "eq12", "--p", "3", "--order", "30"])
+    assert code == 1
+    assert [line for line in text.splitlines() if "FAILS" in line] == [
+        "eq12:s=1 (p=3, order=30): FAILS at t^7 (lhs=7, rhs=6)"
+    ]
+
+
+def test_kernel_fault_in_the_core_counts_fails_eq12(monkeypatch):
+    from blockhh import series
+
+    bump_kernel_in(monkeypatch, series, "pcore_count_gf")
+    code, text = run(["verify", "--which", "all", "--p", "3", "--order", "30"])
+    assert code == 1
+    # c(7) is C_1[2]: section index 2 of residue 1, exponent 3 * 2 + 1
+    assert [line for line in text.splitlines() if "FAILS" in line] == [
+        "eq12:s=1 (p=3, order=30): FAILS at t^7 (lhs=15, rhs=16)"
+    ]
 
 
 def test_oracle_matches():

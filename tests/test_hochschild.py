@@ -264,8 +264,7 @@ def test_context_series_match_standalone_builders():
 def test_core_sections_build_the_partition_series_once(monkeypatch, p):
     from blockhh import hochschild, series
 
-    cores = pcore_count_gf(p, 70)
-    assert pcore_count_gf(p, 70, partition_gf(90)) == cores
+    cores, group = pcore_count_gf(p, 70), hh1_group_series(p, 70)
     built = []
 
     def counted(order):
@@ -275,7 +274,11 @@ def test_core_sections_build_the_partition_series_once(monkeypatch, p):
     monkeypatch.setattr(series, "partition_gf", counted)
     monkeypatch.setattr(hochschild, "partition_gf", counted)
     ctx = SeriesContext(p, 70)
+    # the core counts divide by the sparse E(t) and never read P
     assert ctx.core_sections == tuple(section(cores, p, s) for s in range(p))
+    assert built == []
+    # so the context's P, shared by eq12, the group series and thm3, is the one build
+    assert ctx.group == group
     assert built == [70]
 
 

@@ -15,6 +15,8 @@ from blockhh.rational import (
 )
 from blockhh.series import Series, partition_gf, series_inv, series_mul, shift
 
+import oracles
+
 
 def rf(num, den):
     return RationalFunction(Polynomial(num), Polynomial(den))
@@ -115,6 +117,56 @@ def test_fit_inverts_expand(num, den_tail):
     assert fitted is not None
     assert expand(fitted, order) == expand(f, order)
     assert fitted == f
+
+
+def assert_fits_agree(s, max_num_deg, max_den_deg):
+    square = rational_fit(s, max_num_deg, max_den_deg)
+    assert square == oracles.rational_fit_reference(s, max_num_deg, max_den_deg)
+    return square
+
+
+@given(
+    st.lists(st.integers(-3, 3) | st.fractions(max_denominator=3), min_size=2, max_size=14),
+    st.integers(0, 4),
+    st.integers(0, 4),
+)
+def test_square_fit_matches_full_system_fit(coeffs, max_num_deg, max_den_deg):
+    needed = max_num_deg + max_den_deg + 2
+    s = Series(coeffs + [coeffs[-1]] * max(0, needed - len(coeffs)))
+    assert_fits_agree(s, max_num_deg, max_den_deg)
+
+
+@given(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=4),
+    st.tuples(st.sampled_from([1, -1, 2]), st.lists(st.integers(-4, 4), max_size=3)),
+    st.integers(0, 3),
+    st.integers(0, 3),
+)
+def test_square_fit_with_loose_bounds(num, den, extra_num, extra_den):
+    f = rf(num, [den[0], *den[1]])
+    bounds = (max(f.num.degree, 0) + extra_num, f.den.degree + extra_den)
+    s = expand(f, sum(bounds) + 2 + extra_num)
+    assert assert_fits_agree(s, *bounds) == f
+
+
+def test_square_fit_zero_numerator():
+    for bounds in [(0, 0), (1, 1), (3, 2)]:
+        zero = Series([0] * (sum(bounds) + 3))
+        assert assert_fits_agree(zero, *bounds) == rf([], [1])
+
+
+def test_square_fit_rejects_partition_series():
+    assert assert_fits_agree(partition_gf(12), 2, 2) is None
+    assert assert_fits_agree(partition_gf(30), 4, 4) is None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 31])
+def test_square_fit_of_phi_series(p):
+    from blockhh.hochschild import Z_series, hh1_block_series, phi_r1
+
+    order = 2 * p + 7
+    ratio = series_mul(shift(hh1_block_series(p, order), -1), series_inv(Z_series(p, order)))
+    assert assert_fits_agree(ratio, p + 2, p + 2) == phi_r1(p)
 
 
 def test_descend_basic():

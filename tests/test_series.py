@@ -14,6 +14,7 @@ from blockhh.series import (
     series_add,
     series_inv,
     series_mul,
+    series_mul_ratio,
     shift,
     substitute_power,
     truncate,
@@ -216,6 +217,12 @@ def test_pcore_count_gf_matches_count_pcores():
             assert gf[n] == oracles.count_pcores(n, p)
 
 
+def _assert_normalized(r):
+    checked = Series(list(r.coeffs))
+    assert type(r.coeffs) is tuple and r == checked
+    assert [type(c) for c in r.coeffs] == [type(c) for c in checked.coeffs]
+
+
 @pytest.mark.parametrize(
     "coeffs",
     [[3, -1, 0, 7, 2, 5], [Fraction(1, 2), 3, Fraction(-5, 3), 0, 1, Fraction(7, 4)]],
@@ -232,11 +239,84 @@ def test_unchecked_helpers_equal_the_validating_constructor(coeffs):
         substitute_power(a, 3),
         series_inv(a),
         expand(f, 12),
+        series_mul_ratio(a, coeffs[:3], [1] + coeffs[3:]),
+        series_mul_ratio(a, coeffs[:2], coeffs[1:]),
     ] + [euler_power(alpha, 40) for alpha in (-3, -1, 0, 2)]
     for r in results:
-        checked = Series(list(r.coeffs))
-        assert type(r.coeffs) is tuple and r == checked
-        assert [type(c) for c in r.coeffs] == [type(c) for c in checked.coeffs]
+        _assert_normalized(r)
+
+
+def _ratio_reference(a, num, den):
+    f = RationalFunction(Polynomial(num), Polynomial(den))
+    return series_mul(oracles.expand_reference(f, a.order), a)
+
+
+coefficient = st.integers(-9, 9) | st.fractions(max_denominator=6)
+leading = st.sampled_from([1, -1, 2, Fraction(1, 3)])
+
+
+@given(
+    st.lists(coefficient, min_size=1, max_size=12).map(Series),
+    st.lists(coefficient, max_size=6),
+    st.tuples(leading, st.lists(coefficient, max_size=6)).map(lambda t: [t[0], *t[1]]),
+)
+def test_mul_ratio_is_product_by_the_expansion(a, num, den):
+    got = series_mul_ratio(a, num, den)
+    assert got == _ratio_reference(a, num, den)
+    _assert_normalized(got)
+
+
+OPERANDS = {
+    "sparse-int": lambda n: partition_gf(n),
+    "dense-fraction": lambda n: Series(Fraction(k + 1, k + 2) - k for k in range(n)),
+}
+RATIOS = {
+    "sparse": ((0, 0, 0, 2), (0, 0, 0, 0, -1)),
+    "dense": ((1, 2, -3, Fraction(1, 2)), (1, -1, 2, 3)),
+}
+
+
+@pytest.mark.parametrize("order", [1, 2, 300])
+@pytest.mark.parametrize("d0", [1, -1, 2, Fraction(1, 3)])
+@pytest.mark.parametrize("operand", list(OPERANDS))
+@pytest.mark.parametrize("ratio", list(RATIOS))
+def test_mul_ratio_matches_dense_product(order, d0, operand, ratio):
+    a = OPERANDS[operand](order)
+    num, den_tail = RATIOS[ratio]
+    den = (d0,) + den_tail[1:]
+    got = series_mul_ratio(a, num, den)
+    assert got.order == order
+    assert got == _ratio_reference(a, num, den)
+    _assert_normalized(got)
+
+
+def test_mul_ratio_rejects_vanishing_denominator():
+    for den in [(0, 1), (), (Fraction(0), 2)]:
+        with pytest.raises(ValueError, match="vanishes at 0"):
+            series_mul_ratio(one(5), (1,), den)
+
+
+@given(
+    st.lists(coefficient, max_size=5),
+    st.tuples(leading, st.lists(coefficient, max_size=5)).map(lambda t: [t[0], *t[1]]),
+    st.integers(1, 15),
+)
+def test_expand_matches_reference_loop(num, den, order):
+    f = RationalFunction(Polynomial(num), Polynomial(den))
+    assert expand(f, order) == oracles.expand_reference(f, order)
+
+
+@given(unit_series)
+def test_inv_matches_reference_loop(a):
+    got = series_inv(a)
+    assert got == oracles.series_inv_reference(a)
+    _assert_normalized(got)
+
+
+@pytest.mark.parametrize("p", [2, 3, 31])
+def test_inv_of_count_series_matches_reference_loop(p):
+    z = euler_power(-p, 150)
+    assert series_inv(z) == oracles.series_inv_reference(z) == euler_power(p, 150)
 
 
 def test_rejects_float_coefficients():
