@@ -137,6 +137,8 @@ def _series_for(name: str, p, order: int, s) -> Series:
 
 
 def cmd_series(args, parser, out) -> int:
+    if args.name == "P" and args.p is not None:
+        parser.error("argument --p: not meaningful for series 'P'")
     if args.name != "P" and args.p is None:
         parser.error("argument --p: required for series %r" % args.name)
     if args.name == "Cs":

@@ -24,8 +24,9 @@ rational fitting and only then compare against the closed form (2/(1-t) for
 p = 2, 1/(1-t) for p >= 3), so a transcription error in either route fails.
 Each identity is compared in one place, the verifier that reports it; the
 builders return one route each, except for a short P^p prefix guard in Z_series.
-Every product by a closed form (phi, the group factor, t^p phi(t^p)) is the one
-sparse recurrence series_mul_ratio; eq12 and the phi fit keep dense series_mul.
+Every product is the one sparse recurrence series_mul_ratio: directly for a
+closed form (phi, the group factor, t^p phi(t^p)), through series_mul for eq12
+and the phi fit, which pass C_s and Z^(-1), the sparser operands, second.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .record import Record
-from .series import Series, euler_power
+from .series import Series, _check_prime, euler_power
 
 
 class Partition:
@@ -263,8 +263,3 @@ def _tuple_counts(p: int, w: int, Z: Optional[Series]) -> tuple[int, ...]:
 def _normalized_length(nparts: int, p: int) -> int:
     """Smallest positive multiple of p that can hold nparts beta numbers."""
     return p * max(1, -(-nparts // p))
-
-
-def _check_prime(p: int) -> None:
-    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
-        raise ValueError("p must be prime, got %d" % p)

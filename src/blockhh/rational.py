@@ -50,15 +50,9 @@ class Polynomial:
         return hash(self.coeffs)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if self.is_zero or other.is_zero:
-            return Polynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        # padded to the product's length; a zero factor leaves only zeros to trim
+        padded = Series._trusted(self.coeffs + (0,) * other.degree)
+        return Polynomial(series_mul_ratio(padded, other.coeffs, (1,)).coeffs)
 
     def scale(self, c: Coeff) -> "Polynomial":
         return Polynomial(Fraction(x) * c for x in self.coeffs)
@@ -230,11 +224,8 @@ def rational_fit(
     if q is None:
         return None
     qfull = [Fraction(1)] + q
-    num = [
-        sum((qfull[j] * c[k - j] for j in range(min(k, max_den_deg) + 1)), Fraction(0))
-        for k in range(max_num_deg + 1)
-    ]
-    f = RationalFunction(Polynomial(num), Polynomial(qfull))
+    num = series_mul_ratio(Series._trusted(c[: max_num_deg + 1]), qfull, (1,))
+    f = RationalFunction(Polynomial(num.coeffs), Polynomial(qfull))
     if expand(f, s.order) != s:
         return None
     return f

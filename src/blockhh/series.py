@@ -5,8 +5,9 @@ and nothing else; every operation states precisely to which order its result
 is known (binary operations truncate to the smaller operand order).  All
 arithmetic is exact: coefficients are Python ints or ``fractions.Fraction``,
 never floats, so identity checks performed with these series are meaningful.
-Every product by a closed form or by P = 1/E(t), every inverse and every
-expansion is the one sparse recurrence series_mul_ratio.
+Every product of two coefficient sequences, every inverse and every expansion
+is the one sparse recurrence series_mul_ratio.  The module imports nothing
+from the package, so the one prime check lives here.
 """
 
 from __future__ import annotations
@@ -15,10 +16,12 @@ from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence, Union
 
-# the one prime check; partitions reads this module's Euler-product kernel
-from . import partitions
-
 Coeff = Union[int, Fraction]
+
+
+def _check_prime(p: int) -> None:
+    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+        raise ValueError("p must be prime, got %d" % p)
 
 
 def _coeff(x) -> Coeff:
@@ -106,17 +109,10 @@ def series_add(a: Series, b: Series) -> Series:
 
 
 def series_mul(a: Series, b: Series) -> Series:
-    """Cauchy product, truncated to the smaller operand order."""
+    """Cauchy product, truncated to the smaller operand order; it costs the
+    order times the nonzero terms of b, so pass the sparser operand second."""
     n = min(a.order, b.order)
-    out = [0] * n
-    ac, bc = a.coeffs, b.coeffs
-    for i in range(n):
-        ai = ac[i]
-        if ai == 0:
-            continue
-        for j in range(n - i):
-            out[i + j] += ai * bc[j]
-    return Series(out)
+    return series_mul_ratio(truncate(a, n), b.coeffs[:n], (1,))
 
 
 def series_mul_ratio(a: Series, num: Sequence[Coeff], den: Sequence[Coeff]) -> Series:
@@ -213,6 +209,16 @@ def one(order: int) -> Series:
     return Series([1] + [0] * (order - 1))
 
 
+def _pentagonal(order: int) -> list[tuple[int, int]]:
+    """(k, e_k) for the nonzero coefficients e_k of E(t) with 0 < k < order, ascending."""
+    return [
+        (k, (-1) ** j)
+        for j in range(1, isqrt(order) + 1)
+        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
+        if k < order
+    ]
+
+
 def euler_power(alpha: int, order: int) -> Series:
     """The Euler product E(t)^alpha = prod_{n>=1} (1 - t^n)^alpha, any integer alpha.
 
@@ -223,12 +229,7 @@ def euler_power(alpha: int, order: int) -> Series:
     """
     if order < 1:
         raise ValueError("order must be positive")
-    pentagonal = [  # (k, e_k) for the nonzero e_k with 0 < k < order, ascending
-        (k, (-1) ** j)
-        for j in range(1, isqrt(order) + 1)
-        for k in (j * (3 * j - 1) // 2, j * (3 * j + 1) // 2)
-        if k < order
-    ]
+    pentagonal = _pentagonal(order)
     g = [1] + [0] * (order - 1)
     for n in range(1, order):
         acc = 0
@@ -256,9 +257,12 @@ def pcore_count_gf(p: int, order: int) -> Series:
     """Counting series for p-core partitions: coefficient n is c(n).
 
     Uses the classical product E(t^p)^p / E(t): the lifted power divided by
-    the sparse E(t), O(order^1.5) in all; the test suite enumerates the
-    combinatorial definition against it.
+    E(t), written down from its pentagonal terms, O(order^1.5) in all; the
+    test suite enumerates the combinatorial definition against it.
     """
-    partitions._check_prime(p)
+    _check_prime(p)
     lifted = truncate(substitute_power(euler_power(p, -(-order // p)), p), order)
-    return series_mul_ratio(lifted, (1,), euler_power(1, order).coeffs)
+    e = [1] + [0] * (order - 1)
+    for k, c in _pentagonal(order):
+        e[k] = c
+    return series_mul_ratio(lifted, (1,), e)

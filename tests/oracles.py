@@ -10,9 +10,10 @@ Three functions after those are enumeration routes that used to be public in
 the package and had no caller there but the tests.  They keep the package's
 own enumeration (ZS1, abacus cores) and are tested against the routes above.
 
-The last three are the package's former dense loops for expansion, inversion
-and the full-system rational fit, kept unchanged as ground truth for the
-sparse recurrence ``series_mul_ratio`` and the square Pade solve.
+The last four are the package's former dense loops for the Cauchy product,
+expansion, inversion and the full-system rational fit, kept unchanged as
+ground truth for the sparse recurrence ``series_mul_ratio`` and the square
+Pade solve.
 """
 
 from __future__ import annotations
@@ -197,6 +198,20 @@ def block_of_partition(lam: Partition, p: int) -> BlockDescriptor:
     """The block of kS_(|lam|) containing the character labeled by lam."""
     core = p_core(lam, p)
     return make_block(p, core, (lam.size - core.size) // p)
+
+
+def series_mul_reference(a: Series, b: Series) -> Series:
+    """Cauchy product, truncated to the smaller operand order."""
+    n = min(a.order, b.order)
+    out = [0] * n
+    ac, bc = a.coeffs, b.coeffs
+    for i in range(n):
+        ai = ac[i]
+        if ai == 0:
+            continue
+        for j in range(n - i):
+            out[i + j] += ai * bc[j]
+    return Series(out)
 
 
 def expand_reference(f: RationalFunction, order: int) -> Series:

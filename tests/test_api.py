@@ -46,3 +46,14 @@ def test_no_module_holds_mutable_state():
         for name, value in vars(module).items():
             if not name.startswith("__"):
                 assert not isinstance(value, (dict, list, set, bytearray)), (module, name)
+
+
+def test_series_sits_at_the_bottom_of_the_import_graph():
+    from blockhh import partitions, series
+
+    tree = ast.parse(Path(series.__file__).read_text())
+    relative = [
+        node.lineno for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level
+    ]
+    assert relative == []
+    assert partitions._check_prime is series._check_prime

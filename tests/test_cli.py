@@ -94,6 +94,16 @@ def test_series_s_only_for_cs():
     assert exc.value.code == 2
 
 
+def test_series_p_not_meaningful_for_partition_counts(capsys):
+    out = io.StringIO()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["series", "--name", "P", "--p", "3", "--order", "5"], out=out)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert out.getvalue() == captured.out == ""
+    assert "argument --p: not meaningful for series 'P'" in captured.err
+
+
 def test_series_unknown_name_rejected():
     with pytest.raises(SystemExit) as exc:
         run(["series", "--name", "Q", "--order", "5"])

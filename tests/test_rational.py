@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from blockhh.rational import (
     Polynomial,
@@ -29,6 +29,21 @@ def test_polynomial_trims_and_degree():
     assert Polynomial([1, 2, 0, 0]).coeffs == (1, 2)
     assert Polynomial([0, 0]).degree == -1
     assert Polynomial([Fraction(4, 2)]).coeffs == (2,)
+
+
+poly_coeffs = st.lists(
+    st.integers(-9, 9) | st.fractions(max_denominator=6) | st.just(0), max_size=8
+)
+
+
+@given(poly_coeffs, poly_coeffs)
+@example([], [3, 1])
+@example([0, Fraction(1, 2), 4], [])
+def test_polynomial_product_matches_reference_loop(a, b):
+    a, b = Polynomial(a), Polynomial(b)
+    n = len(a.coeffs) + len(b.coeffs)
+    padded = [Series(c + (0,) * (n - len(c))) for c in (a.coeffs, b.coeffs)]
+    assert a * b == Polynomial(oracles.series_mul_reference(*padded).coeffs)
 
 
 def test_polynomial_str():
@@ -82,6 +97,11 @@ def test_fit_fibonacci():
     fitted = rational_fit(s, 1, 2)
     assert fitted == rf([1], [1, -1, -1])
     assert expand(fitted, 12) == s
+
+
+def test_fit_numerator_at_its_degree_bound():
+    f = rf([1, 2, 3], [1, -1])
+    assert rational_fit(expand(f, 10), 2, 1) == f
 
 
 def test_fit_block_ratio_series():

@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from blockhh.rational import Polynomial, RationalFunction, expand
 from blockhh.series import (
     Series,
+    _pentagonal,
     euler_power,
     one,
     partition_gf,
@@ -210,6 +211,15 @@ def test_euler_power_edges():
         euler_power(-1, 0)
 
 
+@pytest.mark.parametrize("order", [1, 2, 3, 100, 1501])
+def test_pentagonal_table_is_the_euler_product(order):
+    e = [1] + [0] * (order - 1)
+    for k, c in _pentagonal(order):
+        e[k] = c
+    assert e == oracles.euler_product(1, order)
+    assert tuple(e) == euler_power(1, order).coeffs
+
+
 def test_pcore_count_gf_matches_count_pcores():
     for p in (2, 3, 5, 7):
         gf = pcore_count_gf(p, 21)
@@ -248,7 +258,7 @@ def test_unchecked_helpers_equal_the_validating_constructor(coeffs):
 
 def _ratio_reference(a, num, den):
     f = RationalFunction(Polynomial(num), Polynomial(den))
-    return series_mul(oracles.expand_reference(f, a.order), a)
+    return oracles.series_mul_reference(oracles.expand_reference(f, a.order), a)
 
 
 coefficient = st.integers(-9, 9) | st.fractions(max_denominator=6)
@@ -287,6 +297,25 @@ def test_mul_ratio_matches_dense_product(order, d0, operand, ratio):
     got = series_mul_ratio(a, num, den)
     assert got.order == order
     assert got == _ratio_reference(a, num, den)
+    _assert_normalized(got)
+
+
+product_operand = st.lists(
+    st.integers(-9, 9) | st.fractions(max_denominator=6) | st.just(0), max_size=12
+).map(Series)
+
+
+@given(product_operand, product_operand)
+@example(Series([]), Series([1, 2]))
+@example(Series([3]), Series([]))
+@example(Series([0]), Series([Fraction(1, 2)]))
+@example(Series([Fraction(2, 3)]), Series([Fraction(3, 2), 1]))
+@example(Series([0, 0, 5]), Series([1, 0, 0, 0]))
+@example(Series([1, 2, 3, 4]), Series([0, 0, 0, Fraction(1, 4)]))
+def test_mul_matches_reference_loop(a, b):
+    got = series_mul(a, b)
+    assert got.order == min(a.order, b.order)
+    assert got == oracles.series_mul_reference(a, b)
     _assert_normalized(got)
 
 

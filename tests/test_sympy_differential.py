@@ -72,6 +72,14 @@ def test_gcd_poly_matches_sympy(a, b):
     assert list(ours.coeffs) == coeff_list(theirs.as_expr())
 
 
+@pytest.mark.parametrize("a,b", POLYNOMIAL_PAIRS)
+def test_polynomial_product_matches_sympy(a, b):
+    for x, y in ((a, b), (b, a)):
+        ours = Polynomial(x) * Polynomial(y)
+        theirs = sympy.expand(to_sympy(x) * to_sympy(y))
+        assert list(ours.coeffs) == (coeff_list(theirs) if theirs != 0 else [])
+
+
 @pytest.mark.parametrize("num,den", RATIONAL_FUNCTIONS)
 def test_rational_fit_matches_sympy_reduced_form(num, den):
     # sympy's cancelled form, scaled so the denominator is 1 at t = 0, is the
