@@ -7,7 +7,6 @@ against combinatorial or group-theoretic routes, with all arithmetic exact.
 from .blocks import (
     BlockDescriptor,
     blocks_of,
-    count_weight_blocks,
     dim_center,
     dim_hh1,
     make_block,
@@ -75,7 +74,6 @@ __all__ = [
     "Z_series",
     "beta_set",
     "blocks_of",
-    "count_weight_blocks",
     "descend",
     "dim_center",
     "dim_hh1",

@@ -27,7 +27,7 @@ from typing import Optional
 from .partitions import EMPTY, Partition, partitions_of
 from .partitions import _check_prime, _no_p_hook, _tuple_counts
 from .record import Record
-from .series import Series, pcore_count_gf
+from .series import Series
 
 
 def sylow_exponent(p: int, m: int) -> int:
@@ -123,12 +123,3 @@ def dim_hh1(b: BlockDescriptor, Z: Optional[Series] = None) -> int:
     factor = 2 if b.p == 2 else 1
     return factor * sum(_tuple_counts(b.p, b.weight, Z)[: b.weight])
 
-
-def count_weight_blocks(p: int, n: int, w: int) -> int:
-    """Number of weight-w blocks of kS_n, i.e. the p-core count c(n - pw),
-    read from the core-count series (``blocks_of`` enumerates the cores)."""
-    _check_prime(p)
-    size = n - p * w
-    if w < 0 or size < 0:
-        return 0
-    return pcore_count_gf(p, size + 1)[size]

@@ -189,9 +189,9 @@ def fit_phi(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Rational
     """Reconstruct phi from series data alone: fit (Y(t)/t) * Z(t)^(-1).
 
     Uses degree bounds (p+2, p+2), generous for the true answer; needs
-    order >= 2p + 7 so the fit is overdetermined.  Raises if no rational
-    function within the bounds matches (which would falsify rationality).
-    Y and Z are read from ``ctx`` when given.
+    order >= 2p + 7 so the fit is overdetermined.  Raises RuntimeError if Y
+    has a constant term or no rational function within the bounds matches
+    (which would falsify rationality).  Y and Z are read from ``ctx`` when given.
     """
     if order < 2 * p + 7:
         raise ValueError(
@@ -200,6 +200,8 @@ def fit_phi(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Rational
         )
     ctx = _context(p, order, ctx)
     y, z = truncate(ctx.Y, order), truncate(ctx.Z, order)
+    if y[0] != 0:
+        raise RuntimeError("Y has constant term %s, so Y/t is not a power series" % y[0])
     phi_series = series_mul(shift(y, -1), series_inv(z))
     fitted = rational_fit(phi_series, p + 2, p + 2)
     if fitted is None:
@@ -246,8 +248,8 @@ def verify_theorem3(
     fit equals the closed form, the group check is the one comparison of the
     group series' closed-form and substitution routes.
 
-    Also checks that the fitted phi matches the closed form, has nonzero
-    constant term, and that this constant term is the weight-1 dimension.
+    Also checks that y_1 is the weight-1 dimension and that the fitted phi
+    matches the closed form; with Y = t phi Z and z_0 = 1, phi(0) = y_1 != 0.
     Requires order >= theorem3_min_order(p).  phi is the context's fit, at
     its order.  ``inject_fault`` corrupts one Y coefficient after fitting.
     """
@@ -262,11 +264,7 @@ def verify_theorem3(
     if inject_fault:
         y = _bump(y, order // 2)
 
-    diff = None
-    if y[0] != 0:
-        diff = (0, y[0], 0)
-    elif y[1] != y1:
-        diff = (1, y[1], y1)
+    diff = (1, y[1], y1) if y[1] != y1 else None
     if diff is None:
         diff = _first_diff(expand(phi_hat, order), expand(phi_r1(p), order))
         if diff is None:
@@ -276,10 +274,6 @@ def verify_theorem3(
         diff = _first_diff(y, shift(series_mul_ratio(z, phi_hat.num.coeffs, phi_hat.den.coeffs), 1))
     if diff is None:
         diff = _first_diff(truncate(ctx.group, order), _lift(phi_hat, p, gf))
-    if diff is None:
-        phi0 = phi_hat.num(0)
-        if phi0 == 0 or phi0 != y1:
-            diff = (0, phi0, y1)
     return _report("thm3", p, order, diff)
 
 

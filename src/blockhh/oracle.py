@@ -48,16 +48,6 @@ class CycleType(Record):
             mult[a] = mult.get(a, 0) + 1
         return cls(tuple(sorted(mult.items())))
 
-    def to_partition(self) -> Partition:
-        parts = []
-        for a, m in sorted(self.multiplicities, reverse=True):
-            parts.extend([a] * m)
-        return Partition(parts)
-
-    @property
-    def size(self) -> int:
-        return sum(a * m for a, m in self.multiplicities)
-
 
 def hom_to_Fp_dim(p: int, cycle_type: CycleType) -> int:
     """dim Hom(C(g), F_p) for g of the given cycle type, via the wreath formula."""

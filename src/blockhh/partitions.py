@@ -66,15 +66,6 @@ class Partition:
     def __hash__(self) -> int:
         return hash(self.parts)
 
-    def __lt__(self, other: "Partition") -> bool:
-        return self.parts < other.parts
-
-    def __len__(self) -> int:
-        return len(self.parts)
-
-    def __iter__(self):
-        return iter(self.parts)
-
     def __repr__(self) -> str:
         return "Partition(%r)" % (self.parts,)
 

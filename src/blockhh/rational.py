@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional
 
+from . import series
 from .series import Coeff, Series, _coeff, one, series_mul_ratio
 
 
@@ -61,26 +62,15 @@ class Polynomial:
         """Multiply by t^k."""
         if k < 0:
             raise ValueError("shift exponent must be nonnegative")
-        if self.is_zero:
-            return self
-        return Polynomial((0,) * k + self.coeffs)
+        return Polynomial(series.shift(Series._trusted(self.coeffs), k).coeffs)
 
     def substitute_power(self, m: int) -> "Polynomial":
         """The substitution t -> t^m."""
-        if m < 1:
-            raise ValueError("substitution power must be >= 1")
-        if self.is_zero:
-            return self
-        out = [0] * (m * self.degree + 1)
-        for n, c in enumerate(self.coeffs):
-            out[m * n] = c
-        return Polynomial(out)
+        return Polynomial(series.substitute_power(Series._trusted(self.coeffs), m).coeffs)
 
     def section(self, m: int, s: int) -> "Polynomial":
         """The s-th m-section: coefficient n of the result is coefficient mn+s."""
-        if not 0 <= s < m:
-            raise ValueError("section residue %d out of range 0..%d" % (s, m - 1))
-        return Polynomial(self.coeffs[s::m])
+        return Polynomial(series.section(Series._trusted(self.coeffs), m, s).coeffs)
 
     def __repr__(self) -> str:
         return "Polynomial(%r)" % (list(self.coeffs),)

@@ -87,20 +87,6 @@ class Series:
     def __repr__(self) -> str:
         return "Series(%r)" % (list(self.coeffs),)
 
-    def __str__(self) -> str:
-        terms = []
-        for n, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if n == 0:
-                terms.append(str(c))
-            elif n == 1:
-                terms.append("%s*t" % c if c != 1 else "t")
-            else:
-                terms.append("%s*t^%d" % (c, n) if c != 1 else "t^%d" % n)
-        body = " + ".join(terms) if terms else "0"
-        return "%s + O(t^%d)" % (body, self.order)
-
 
 def series_add(a: Series, b: Series) -> Series:
     """Coefficientwise sum, truncated to the smaller operand order."""
@@ -240,7 +226,7 @@ def euler_power(alpha: int, order: int) -> Series:
         g[n], remainder = divmod(acc, n)
         if remainder:
             raise RuntimeError(
-                "inexact division at t^%d of the Euler product to the power %d" % (n, alpha)
+                "inexact division at t^%d of the Euler product to the power %s" % (n, alpha)
             )
     return Series._trusted(tuple(g))
 

@@ -6,6 +6,12 @@ from pathlib import Path
 import blockhh
 
 MOVED_TO_TESTS = {"count_pcores", "dim_center_oracle", "block_of_partition"}
+DELETED = {
+    "blocks": {"count_weight_blocks"},
+    "Series": {"__str__"},
+    "Partition": {"__lt__", "__len__", "__iter__"},
+    "CycleType": {"to_partition", "size"},
+}
 
 
 def _imported_public_names() -> set[str]:
@@ -35,6 +41,14 @@ def test_test_only_routes_are_not_in_the_package():
     assert not MOVED_TO_TESTS & set(blockhh.__all__)
     for module in (blockhh, blocks, oracle, partitions):
         assert not MOVED_TO_TESTS & set(vars(module)), module.__name__
+
+
+def test_deleted_names_are_gone():
+    from blockhh import blocks
+
+    assert not DELETED["blocks"] & (set(blockhh.__all__) | set(vars(blocks)))
+    for cls in (blockhh.Series, blockhh.Partition, blockhh.CycleType):
+        assert not DELETED[cls.__name__] & set(vars(cls)), cls.__name__
 
 
 def test_no_module_holds_mutable_state():

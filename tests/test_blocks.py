@@ -3,7 +3,6 @@ import pytest
 from blockhh.blocks import (
     BlockDescriptor,
     blocks_of,
-    count_weight_blocks,
     dim_center,
     dim_hh1,
     make_block,
@@ -18,7 +17,7 @@ from blockhh.partitions import (
     partitions_of,
     rho,
 )
-from blockhh.series import euler_power
+from blockhh.series import euler_power, pcore_count_gf
 
 import oracles
 
@@ -28,6 +27,8 @@ def test_sylow_exponent_values():
     assert sylow_exponent(2, 4) == 3  # 4! = 24 = 2^3 * 3
     assert sylow_exponent(3, 9) == 4  # 9! has 3-valuation 3 + 1
     assert sylow_exponent(5, 4) == 0
+    with pytest.raises(ValueError, match="m must be nonnegative"):
+        sylow_exponent(2, -1)
 
 
 def test_descriptor_invariants_enforced():
@@ -45,6 +46,8 @@ def test_blocks_of_s0():
     for p in (2, 3, 5):
         (b,) = blocks_of(p, 0)
         assert (b.weight, b.core) == (0, EMPTY)
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        blocks_of(2, -1)
 
 
 def test_blocks_of_s2_at_p2():
@@ -54,16 +57,16 @@ def test_blocks_of_s2_at_p2():
 
 
 def test_weight_block_counts_match_core_counts():
-    # count_weight_blocks reads the series; count_pcores and blocks_of enumerate
+    # the core-count series is read; count_pcores and blocks_of enumerate
     for p in (2, 3, 5):
+        cores = pcore_count_gf(p, 26)
         for n in range(26):
             by_weight = {}
             for b in blocks_of(p, n):
                 by_weight[b.weight] = by_weight.get(b.weight, 0) + 1
             for w in range(n // p + 1):
                 expected = oracles.count_pcores(n - p * w, p)
-                assert by_weight.get(w, 0) == expected == count_weight_blocks(p, n, w)
-    assert count_weight_blocks(2, 3, 2) == count_weight_blocks(2, 3, -1) == 0
+                assert by_weight.get(w, 0) == expected == cores[n - p * w]
 
 
 def _check_blocks_partition_the_partitions(p, n_max):

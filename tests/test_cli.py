@@ -110,6 +110,31 @@ def test_series_unknown_name_rejected():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--which", "thm2", "--p", "2", "--order", "0"], "--order: 0 is not positive"),
+        (["series", "--name", "P", "--order", "0"], "--order: 0 is not positive"),
+        (["blocks", "--p", "2", "--n", "-1"], "--n: -1 is negative"),
+    ],
+)
+def test_out_of_range_numbers_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_non_integer_coefficient_exits_one(monkeypatch, capsys):
+    from fractions import Fraction
+
+    monkeypatch.setattr(cli, "partition_gf", lambda order: Series([1, Fraction(1, 2)]))
+    code, text = run(["series", "--name", "P", "--order", "2"])
+    assert (code, text) == (1, "")
+    err = capsys.readouterr().err
+    assert err == "blockhh: error: non-integer coefficient 1/2 in an integer series\n"
+
+
 def test_nonprime_p_rejected_with_diagnostic(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["blocks", "--p", "9", "--n", "2"])
@@ -238,6 +263,49 @@ def test_z_fault_past_the_sections_fails_in_thm2(monkeypatch):
     lines = text.splitlines()
     assert code == 1
     assert [line for line in lines if "FAILS" in line] == lines[:1]
+
+
+def bump_block_series_at(monkeypatch, k):
+    from blockhh import hochschild as hh
+
+    def bumped(p, order, ctx=None, _built=hh.hh1_block_series):
+        good = _built(p, order, ctx).coeffs
+        return Series(good[:k] + (good[k] + 1,) + good[k + 1:])
+
+    monkeypatch.setattr(hh, "hh1_block_series", bumped)
+
+
+@pytest.mark.parametrize(
+    "k, message",
+    [
+        (0, "Y has constant term 1, so Y/t is not a power series"),
+        (5, "no rational function of degree <= (5, 5) matches the phi series"),
+    ],
+)
+@pytest.mark.parametrize("which", ["thm3", "all"])
+def test_y_fault_that_defeats_the_phi_fit_exits_one(monkeypatch, capsys, which, k, message):
+    # the fit runs before thm3 can report, so the run ends with one error line;
+    # with --which all, thm2 has already reported the bumped coefficient
+    bump_block_series_at(monkeypatch, k)
+    code, text = run(["verify", "--which", which, "--p", "3", "--order", "30"])
+    assert code == 1
+    lhs = {0: 0, 5: 86}[k]
+    thm2 = "thm2 (p=3, order=15): FAILS at t^%d (lhs=%d, rhs=%d)\n" % (k, lhs, lhs + 1)
+    assert text == ("" if which == "thm3" else thm2)
+    assert capsys.readouterr().err == "blockhh: error: %s\n" % message
+
+
+def test_weight_one_check_of_thm3_fires(monkeypatch):
+    from blockhh import hochschild as hh
+    from blockhh.rational import Polynomial, RationalFunction
+
+    # Y is built from the patched closed form and the fit matches it, so only
+    # the weight-1 check sees y_1 = 1 where the weight-1 formula gives 2
+    geometric = RationalFunction(Polynomial([1]), Polynomial([1, -1]))
+    monkeypatch.setattr(hh, "phi_r1", lambda p: geometric)
+    code, text = run(["verify", "--which", "thm3", "--p", "2", "--order", "30"])
+    assert code == 1
+    assert text == "thm3 (p=2, order=30): FAILS at t^1 (lhs=1, rhs=2)\nfitted phi = 1/(1 - t)\n"
 
 
 def bump_kernel_in(monkeypatch, module, caller):

@@ -292,3 +292,16 @@ def test_context_must_cover_the_request():
         verify_block_decomposition(3, 0, 0, ctx=ctx)
     with pytest.raises(ValueError):
         SeriesContext(4, 30)
+    with pytest.raises(ValueError, match="order must be positive"):
+        SeriesContext(3, 0)
+
+
+def test_every_verifier_refuses_its_bad_arguments():
+    with pytest.raises(ValueError, match="need >= 13"):
+        fit_phi(3, 12)
+    with pytest.raises(ValueError, match="residue 3 out of range 0..2"):
+        verify_block_decomposition(3, 3, 10)
+    with pytest.raises(ValueError, match="residue -1 out of range"):
+        verify_block_decomposition(3, -1, 10)
+    with pytest.raises(ValueError, match="max_weight must be positive"):
+        verify_theorem2(2, 0)

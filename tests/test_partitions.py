@@ -30,10 +30,14 @@ def test_partition_validation():
         Partition((2, 0))
     assert Partition(()).size == 0
     assert Partition((3, 1)).size == 4
+    assert Partition((3, 1)) != 5 and not Partition(()) == 5
+    assert bool(Partition(()))  # no __len__: every partition is truthy
 
 
 def test_partitions_of_zero():
     assert partitions_of(0) == [EMPTY]
+    with pytest.raises(ValueError, match="n must be nonnegative"):
+        partitions_of(-1)
 
 
 def test_partitions_of_four():

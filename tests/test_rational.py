@@ -9,6 +9,7 @@ from blockhh.rational import (
     RationalFunction,
     _section_quotient,
     descend,
+    divmod_poly,
     expand,
     gcd_poly,
     rational_fit,
@@ -52,10 +53,35 @@ def test_polynomial_str():
     assert str(Polynomial()) == "0"
 
 
+def test_value_protocols():
+    assert Polynomial([1]) != 1 and not Polynomial([1]) == 1
+    assert GEOMETRIC != 1 and not GEOMETRIC == 1
+    assert repr(Polynomial([1, -1])) == "Polynomial([1, -1])"
+    assert repr(GEOMETRIC) == "RationalFunction(Polynomial([1]), Polynomial([1, -1]))"
+    assert str(rf([1, 2], [3])) == "1/3 + 2/3*t"  # a denominator 1 is not printed
+    assert str(GEOMETRIC) == "1/(1 - t)"
+
+
+def test_polynomial_shift_substitute_and_section():
+    a = Polynomial([1, 0, 2])
+    assert a.shift(2) == Polynomial([0, 0, 1, 0, 2])
+    assert a.substitute_power(3) == Polynomial([1, 0, 0, 0, 0, 0, 2])
+    assert a.section(2, 0) == Polynomial([1, 2]) and a.section(2, 1).is_zero
+    zero = Polynomial()
+    assert zero.shift(3) == zero.substitute_power(3) == zero.section(2, 1) == zero
+    with pytest.raises(ValueError, match="shift exponent must be nonnegative"):
+        a.shift(-1)
+    with pytest.raises(ValueError, match="substitution power must be >= 1"):
+        a.substitute_power(0)
+    with pytest.raises(ValueError, match="section residue 2 out of range 0..1"):
+        a.section(2, 2)
+
+
 def test_gcd_poly():
     a = Polynomial([1, 1]) * Polynomial([2, 2, 2])
     b = Polynomial([1, 1]) * Polynomial([0, 5])
     assert gcd_poly(a, b) == Polynomial([1, 1])
+    assert gcd_poly(Polynomial(), Polynomial()) == Polynomial()
 
 
 def test_canonical_form_reduces():
@@ -114,6 +140,9 @@ def test_fit_block_ratio_series():
 def test_fit_insufficient_order_is_an_error_not_a_failed_fit():
     with pytest.raises(ValueError, match="order"):
         rational_fit(Series([1, 1, 1]), 2, 2)
+    for bounds in ((-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="degree bounds must be nonnegative"):
+            rational_fit(partition_gf(12), *bounds)
 
 
 def test_fit_returns_none_when_nothing_matches():
@@ -196,6 +225,8 @@ def test_descend_basic():
 def test_descend_identity_modulus():
     f = rf([3, 1], [1, 0, 2])
     assert descend(f, 1) == f
+    with pytest.raises(ValueError, match="descent modulus must be >= 1, got 0"):
+        descend(f, 0)
 
 
 def test_descend_recovers_block_factor():
@@ -213,6 +244,10 @@ def test_descend_rejects_skew_support():
 def test_descend_rejects_pole_at_zero():
     with pytest.raises(ValueError, match="expansion"):
         descend(rf([1], [0, 0, 1]), 2)
+
+
+def test_section_quotient_needs_a_nonzero_denominator_section():
+    assert _section_quotient(Polynomial([1]), Polynomial([1, 0, 1]), 2, 1) is None
 
 
 def test_descend_zero_function():
@@ -294,3 +329,5 @@ def test_equality_agrees_with_cross_multiplication():
 def test_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError):
         rf([1], [])
+    with pytest.raises(ZeroDivisionError, match="polynomial division by zero"):
+        divmod_poly(Polynomial([1, 1]), Polynomial())

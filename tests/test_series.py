@@ -209,6 +209,9 @@ def test_euler_power_edges():
     assert euler_power(-4, 1) == one(1)
     with pytest.raises(ValueError):
         euler_power(-1, 0)
+    # Miller's recurrence divides exactly only for an integer exponent
+    with pytest.raises(RuntimeError, match="inexact division at t\\^1 .* power 1/2"):
+        euler_power(Fraction(1, 2), 3)
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 100, 1501])
@@ -357,3 +360,38 @@ def test_order_is_coefficient_count():
     a = Series([5, 0, 0])
     assert a.order == 3
     assert truncate(a, 2).order == 2
+
+
+def test_value_object_protocol():
+    a = Series([1, 2])
+    with pytest.raises(IndexError, match="negative exponent -1"):
+        a[-1]
+    assert a != 5 and not a == 5
+    assert hash(a) == hash(Series([1, Fraction(4, 2)]))
+    assert str(a) == repr(a) == "Series([1, 2])"  # no __str__ of its own
+
+
+def test_power_guards():
+    assert Series([1, 1, 0]) ** 2 == Series([1, 2, 1])
+    assert Series([]) ** 3 == Series([])
+    with pytest.raises(ValueError, match="negative power"):
+        Series([1, 1]) ** -1
+
+
+@pytest.mark.parametrize(
+    "operation, args, message",
+    [
+        (shift, (Series([0, 0]), -3), "cannot divide by t\\^3: only 2 coefficients known"),
+        (substitute_power, (Series([1]), 0), "substitution power must be >= 1, got 0"),
+        (section, (Series([1, 2]), 0, 0), "section modulus must be >= 1, got 0"),
+        (section, (Series([1, 2]), 2, 2), "section residue 2 out of range 0..1"),
+        (section, (Series([1, 2]), 2, -1), "section residue -1 out of range 0..1"),
+        (truncate, (Series([1, 2]), -1), "order must be nonnegative"),
+        (truncate, (Series([1, 2]), 3), "cannot extend a series known only to order 2"),
+    ],
+    ids=["shift", "substitute_power", "section-modulus", "section-residue-high",
+         "section-residue-low", "truncate-negative", "truncate-extends"],
+)
+def test_every_operation_guard_raises(operation, args, message):
+    with pytest.raises(ValueError, match=message):
+        operation(*args)
