@@ -25,7 +25,7 @@ from .hochschild import (
     verify_theorem3,
     y1_formula,
 )
-from .oracle import CycleType, hh1_group_oracle, hom_to_Fp_dim
+from .oracle import hh1_group_oracle
 from .partitions import (
     EMPTY,
     CoreQuotient,
@@ -64,7 +64,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BlockDescriptor",
     "CoreQuotient",
-    "CycleType",
     "EMPTY",
     "Partition",
     "Polynomial",
@@ -83,7 +82,6 @@ __all__ = [
     "hh1_block_series",
     "hh1_group_oracle",
     "hh1_group_series",
-    "hom_to_Fp_dim",
     "is_p_core",
     "make_block",
     "p_core",

@@ -22,8 +22,8 @@ being verified, each as an exact coefficientwise identity:
 phi is never assumed: the verifiers reconstruct it from series data by exact
 rational fitting and only then compare against the closed form (2/(1-t) for
 p = 2, 1/(1-t) for p >= 3), so a transcription error in either route fails.
-Each identity is compared in one place, the verifier that reports it; the
-builders return one route each, except for a short P^p prefix guard in Z_series.
+Each identity is compared in one place, the verifier that reports it, and
+every verifier ends in _verdict; the builders return one route each.
 Every product is the one sparse recurrence series_mul_ratio: directly for a
 closed form (phi, the group factor, t^p phi(t^p)), through series_mul for eq12
 and the phi fit, which pass C_s and Z^(-1), the sparser operands, second.
@@ -32,7 +32,8 @@ and the phi fit, which pass C_s and Z^(-1), the sparser operands, second.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
+from itertools import accumulate
+from typing import Iterable, Optional
 
 from .blocks import dim_center, dim_hh1, principal_block
 from .partitions import EMPTY, rho, _check_prime
@@ -76,17 +77,11 @@ def Z_series(p: int, order: int) -> Series:
     """Center dimensions of principal blocks by weight: coefficient w is z_w.
 
     z_w = rho(pw, empty) counts p-tuples of partitions of total size w, so
-    Z = P^p = E(t)^(-p), from the Euler-product kernel; a short prefix is
-    cross-checked against P multiplied by itself p times.
+    Z = P^p = E(t)^(-p), from the Euler-product kernel.  thm2 compares its
+    own count series with P multiplied by itself p times on a short prefix.
     """
     _check_prime(p)
-    z = euler_power(-p, order)
-    guard = min(order, 12)
-    if (partition_gf(guard) ** p).coeffs != z.coeffs[:guard]:
-        raise RuntimeError(
-            "Euler-product route and partition-power route disagree for Z (p=%d)" % p
-        )
-    return z
+    return euler_power(-p, order)
 
 
 def y1_formula(p: int, r: int) -> int:
@@ -229,15 +224,15 @@ def verify_block_decomposition(
     if not 0 <= s < p:
         raise ValueError("residue %d out of range 0..%d" % (s, p - 1))
     lhs = section(truncate(ctx.P, order), p, s)
-    m = lhs.order
-    cs = truncate(ctx.core_sections[s], m)
+    cs = truncate(ctx.core_sections[s], lhs.order)
     if inject_fault:
         cs = _bump(cs, 1)
-    diff = _first_diff(lhs, series_mul(truncate(ctx.Z, m), cs), p, s)
-    if diff is None:
-        group = section(truncate(ctx.group, order), p, s)
-        diff = _first_diff(group, series_mul(truncate(ctx.Y, m), cs), p, s)
-    return _report("eq12:s=%d" % s, p, order, diff)
+
+    def comparisons():  # series_mul truncates Z and Y to the order of C_s
+        yield lhs, series_mul(ctx.Z, cs), p, s
+        yield section(truncate(ctx.group, order), p, s), series_mul(ctx.Y, cs), p, s
+
+    return _verdict("eq12:s=%d" % s, p, order, comparisons())
 
 
 def verify_theorem3(
@@ -257,24 +252,19 @@ def verify_theorem3(
         raise ValueError("order %d too small; need >= %d" % (order, theorem3_min_order(p)))
     ctx = _context(p, order, ctx)
     y = truncate(ctx.Y, order)
-    z = truncate(ctx.Z, order - 1)
-    gf = truncate(ctx.P, order)
-    y1 = y1_formula(p, 1)
     phi_hat = ctx.phi
     if inject_fault:
         y = _bump(y, order // 2)
 
-    diff = (1, y[1], y1) if y[1] != y1 else None
-    if diff is None:
-        diff = _first_diff(expand(phi_hat, order), expand(phi_r1(p), order))
-        if diff is None:
-            # agreement to this order pins the function within the degree bounds
-            assert phi_hat == phi_r1(p)
-    if diff is None:
-        diff = _first_diff(y, shift(series_mul_ratio(z, phi_hat.num.coeffs, phi_hat.den.coeffs), 1))
-    if diff is None:
-        diff = _first_diff(truncate(ctx.group, order), _lift(phi_hat, p, gf))
-    return _report("thm3", p, order, diff)
+    def comparisons():
+        yield truncate(y, 2), Series([0, y1_formula(p, 1)])  # the fit made y_0 = 0
+        # agreement to this order pins the function within the degree bounds
+        yield expand(phi_hat, order), expand(phi_r1(p), order)
+        z = truncate(ctx.Z, order - 1)
+        yield y, shift(series_mul_ratio(z, phi_hat.num.coeffs, phi_hat.den.coeffs), 1)
+        yield truncate(ctx.group, order), _lift(phi_hat, p, truncate(ctx.P, order))
+
+    return _verdict("thm3", p, order, comparisons())
 
 
 def verify_theorem2(
@@ -287,8 +277,9 @@ def verify_theorem2(
     (doubled when p = 2), and the coefficient of Y(t), read from ``ctx`` when
     given.  The report's order field records max_weight.
 
-    The block side reads a count series E(t)^(-p) built here, not ctx.Z.  Y
-    is built from ctx.Z, thm3 sees only their ratio, and eq12 reads ctx.Z
+    The block side reads a count series E(t)^(-p) built here, not ctx.Z, and
+    compares up to 12 leading terms with P^p before it builds the block routes.
+    Y is built from ctx.Z, thm3 sees only their ratio, and eq12 reads ctx.Z
     only to order/p: past that, a fault in Z_series shows here alone.
     """
     if max_weight < 1:
@@ -296,24 +287,22 @@ def verify_theorem2(
     ctx = _context(p, max_weight + 1, ctx)
     y = truncate(ctx.Y, max_weight + 1)
     counts = euler_power(-p, max_weight + 1)
+    guard = min(max_weight + 1, 12)
     if inject_fault:
         y = _bump(y, max(1, max_weight // 2))
     factor = 2 if p == 2 else 1
-    rho_partial = 0
-    center_partial = 0
-    diff = None
-    for w in range(max_weight + 1):
-        block = principal_block(p, w)
-        value = dim_hh1(block, counts)
-        for other in (factor * rho_partial, factor * center_partial, y[w]):
-            if value != other:
-                diff = (w, value, other)
-                break
-        if diff is not None:
-            break
-        rho_partial += rho(p * w, EMPTY, p, counts)
-        center_partial += dim_center(block, counts)
-    return _report("thm2", p, max_weight, diff)
+
+    def comparisons():
+        yield truncate(counts, guard), partition_gf(guard) ** p
+        blocks = [principal_block(p, w) for w in range(max_weight + 1)]
+        value = Series(dim_hh1(b, counts) for b in blocks)
+        rho_sums = accumulate((rho(p * w, EMPTY, p, counts) for w in range(max_weight)), initial=0)
+        yield value, Series(factor * r for r in rho_sums)
+        center_sums = accumulate((dim_center(b, counts) for b in blocks[:-1]), initial=0)
+        yield value, Series(factor * c for c in center_sums)
+        yield value, y
+
+    return _verdict("thm2", p, max_weight, comparisons())
 
 
 def _lift(phi: RationalFunction, p: int, gf: Series) -> Series:
@@ -329,11 +318,7 @@ def _bump(a: Series, k: int) -> Series:
 def _first_diff(lhs: Series, rhs: Series, p: int = 1, s: int = 0) -> Optional[Discrepancy]:
     # reports carry only the first mismatch; the full diff shows at DEBUG.
     # Sections pass p and s, so index n is reported as exponent pn + s.
-    diffs = [
-        (p * n + s, lhs[n], rhs[n])
-        for n in range(min(lhs.order, rhs.order))
-        if lhs[n] != rhs[n]
-    ]
+    diffs = [(p * n + s, a, b) for n, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b]
     if diffs:
         import logging  # loaded only once a mismatch is found
 
@@ -343,5 +328,8 @@ def _first_diff(lhs: Series, rhs: Series, p: int = 1, s: int = 0) -> Optional[Di
     return diffs[0] if diffs else None
 
 
-def _report(name: str, p: int, order: int, diff: Optional[Discrepancy]) -> VerificationReport:
+def _verdict(name: str, p: int, order: int, comparisons: Iterable[tuple]) -> VerificationReport:
+    """Report the first comparison, in the listed order, that finds a discrepancy.
+    Each is a tuple of _first_diff's arguments, drawn only once those before agree."""
+    diff = next(filter(None, (_first_diff(*c) for c in comparisons)), None)
     return VerificationReport(name, p, order, diff is None, diff)

@@ -19,43 +19,11 @@ which is the point: it is the independent side of every end-to-end check.
 
 ``hh1_group_oracle`` visits every class but scores it in one pass over the
 runs of equal parts: 1 if p divides the part, 1 more if p = 2 and it repeats.
-``hom_to_Fp_dim`` on a ``CycleType`` is the definition it is tested against.
 """
 
 from __future__ import annotations
 
-from .partitions import Partition, partitions_of, _check_prime
-from .record import Record
-
-
-class CycleType(Record):
-    """Multiset of cycle lengths, stored as sorted (length, multiplicity) pairs."""
-
-    __slots__ = ("multiplicities",)
-
-    def __post_init__(self):
-        for a, m in self.multiplicities:
-            if a < 1 or m < 1:
-                raise ValueError("cycle lengths and multiplicities must be positive")
-        lengths = [a for a, _ in self.multiplicities]
-        if lengths != sorted(set(lengths)):
-            raise ValueError("multiplicities must be sorted by distinct cycle length")
-
-    @classmethod
-    def from_partition(cls, lam: Partition) -> "CycleType":
-        mult: dict[int, int] = {}
-        for a in lam.parts:
-            mult[a] = mult.get(a, 0) + 1
-        return cls(tuple(sorted(mult.items())))
-
-
-def hom_to_Fp_dim(p: int, cycle_type: CycleType) -> int:
-    """dim Hom(C(g), F_p) for g of the given cycle type, via the wreath formula."""
-    _check_prime(p)
-    return sum(
-        (1 if a % p == 0 else 0) + (1 if p == 2 and m >= 2 else 0)
-        for a, m in cycle_type.multiplicities
-    )
+from .partitions import partitions_of, _check_prime
 
 
 def hh1_group_oracle(p: int, n: int) -> int:

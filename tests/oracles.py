@@ -9,6 +9,8 @@ and p-cores are found by literally peeling border strips off Young diagrams
 Three functions after those are enumeration routes that used to be public in
 the package and had no caller there but the tests.  They keep the package's
 own enumeration (ZS1, abacus cores) and are tested against the routes above.
+``CycleType`` and ``hom_to_Fp_dim``, also formerly public, are the per-class
+definition that the package's run-length oracle loop is tested against.
 
 The last four are the package's former dense loops for the Cauchy product,
 expansion, inversion and the full-system rational fit, kept unchanged as
@@ -25,6 +27,7 @@ from typing import Optional
 from blockhh.blocks import BlockDescriptor, make_block
 from blockhh.partitions import Partition, _check_prime, is_p_core, p_core, partitions_of
 from blockhh.rational import Polynomial, RationalFunction, _solve_exact
+from blockhh.record import Record
 from blockhh.series import Coeff, Series, _coeff
 
 
@@ -198,6 +201,36 @@ def block_of_partition(lam: Partition, p: int) -> BlockDescriptor:
     """The block of kS_(|lam|) containing the character labeled by lam."""
     core = p_core(lam, p)
     return make_block(p, core, (lam.size - core.size) // p)
+
+
+class CycleType(Record):
+    """Multiset of cycle lengths, stored as sorted (length, multiplicity) pairs."""
+
+    __slots__ = ("multiplicities",)
+
+    def __post_init__(self):
+        for a, m in self.multiplicities:
+            if a < 1 or m < 1:
+                raise ValueError("cycle lengths and multiplicities must be positive")
+        lengths = [a for a, _ in self.multiplicities]
+        if lengths != sorted(set(lengths)):
+            raise ValueError("multiplicities must be sorted by distinct cycle length")
+
+    @classmethod
+    def from_partition(cls, lam: Partition) -> "CycleType":
+        mult: dict[int, int] = {}
+        for a in lam.parts:
+            mult[a] = mult.get(a, 0) + 1
+        return cls(tuple(sorted(mult.items())))
+
+
+def hom_to_Fp_dim(p: int, cycle_type: CycleType) -> int:
+    """dim Hom(C(g), F_p) for g of the given cycle type, via the wreath formula."""
+    _check_prime(p)
+    return sum(
+        (1 if a % p == 0 else 0) + (1 if p == 2 and m >= 2 else 0)
+        for a, m in cycle_type.multiplicities
+    )
 
 
 def series_mul_reference(a: Series, b: Series) -> Series:

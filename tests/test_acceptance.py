@@ -20,7 +20,7 @@ from blockhh.hochschild import (
     verify_theorem3,
     y1_formula,
 )
-from blockhh.oracle import CycleType, hh1_group_oracle, hom_to_Fp_dim
+from blockhh.oracle import hh1_group_oracle
 from blockhh.partitions import (
     EMPTY,
     from_core_quotient,
@@ -32,6 +32,7 @@ from blockhh.rational import Polynomial, RationalFunction, descend, expand, rati
 from blockhh.series import partition_gf, series_inv, series_mul
 
 import oracles
+from oracles import CycleType, hom_to_Fp_dim
 import permgroup
 
 PRIMES = (2, 3, 5, 7)

@@ -5,9 +5,12 @@ from pathlib import Path
 
 import blockhh
 
+import oracles
+
 MOVED_TO_TESTS = {"count_pcores", "dim_center_oracle", "block_of_partition"}
 DELETED = {
     "blocks": {"count_weight_blocks"},
+    "oracle": {"CycleType", "hom_to_Fp_dim"},
     "Series": {"__str__"},
     "Partition": {"__lt__", "__len__", "__iter__"},
     "CycleType": {"to_partition", "size"},
@@ -44,10 +47,12 @@ def test_test_only_routes_are_not_in_the_package():
 
 
 def test_deleted_names_are_gone():
-    from blockhh import blocks
+    from blockhh import blocks, oracle
 
     assert not DELETED["blocks"] & (set(blockhh.__all__) | set(vars(blocks)))
-    for cls in (blockhh.Series, blockhh.Partition, blockhh.CycleType):
+    # CycleType and hom_to_Fp_dim live on in tests/oracles.py
+    assert not DELETED["oracle"] & (set(blockhh.__all__) | set(vars(blockhh)) | set(vars(oracle)))
+    for cls in (blockhh.Series, blockhh.Partition, oracles.CycleType):
         assert not DELETED[cls.__name__] & set(vars(cls)), cls.__name__
 
 
@@ -71,3 +76,17 @@ def test_series_sits_at_the_bottom_of_the_import_graph():
     ]
     assert relative == []
     assert partitions._check_prime is series._check_prime
+
+
+def test_the_package_has_no_assert_and_no_float():
+    # every check must survive python -O, and all arithmetic is exact
+    found = []
+    for path in sorted(Path(blockhh.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Assert)
+                or isinstance(node, ast.Constant) and isinstance(node.value, float)
+                or isinstance(node, ast.Name) and node.id == "float"
+            ):
+                found.append((path.name, node.lineno))
+    assert found == []

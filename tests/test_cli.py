@@ -182,20 +182,74 @@ def test_verify_default_order_fits_every_prime(monkeypatch):
     assert text.count("holds") == 19
 
 
-def test_cross_check_failure_exits_one_without_traceback(monkeypatch, capsys):
+def corrupt_kernel_at(monkeypatch, k, alpha=None):
+    """Bump t^k of hochschild's Euler-product kernel, for every power or only ``alpha``."""
     from blockhh import hochschild, series
 
-    def corrupted(alpha, order):
-        good = series.euler_power(alpha, order).coeffs
-        return Series(good[:1] + (good[1] + 1,) + good[2:])
+    def corrupted(a, order):
+        good = series.euler_power(a, order).coeffs
+        if alpha is not None and a != alpha:
+            return Series(good)
+        return Series(good[:k] + (good[k] + 1,) + good[k + 1:])
 
-    # only the Z route is corrupted; the P^p guard still uses the true kernel
     monkeypatch.setattr(hochschild, "euler_power", corrupted)
+
+
+def test_cross_check_failure_exits_one_without_traceback(monkeypatch, capsys):
+    # thm2 compares its count series with P^p first and stops there, before
+    # the block routes, which refuse a series that does not start 1 + p t
+    corrupt_kernel_at(monkeypatch, 1)
     code, text = run(["verify", "--which", "all", "--p", "3", "--order", "30"])
-    assert (code, text) == (1, "")
-    err = capsys.readouterr().err
-    assert err.startswith("blockhh: error: ") and err.count("\n") == 1
-    assert "disagree for Z" in err
+    assert code == 1
+    assert text.splitlines()[0] == "thm2 (p=3, order=15): FAILS at t^1 (lhs=4, rhs=3)"
+    assert capsys.readouterr().err == ""
+
+
+def test_count_series_fault_fails_thm2_at_its_exponent(monkeypatch):
+    corrupt_kernel_at(monkeypatch, 5, alpha=-3)
+    code, text = run(["verify", "--which", "thm2", "--p", "3", "--order", "30"])
+    assert (code, text) == (1, "thm2 (p=3, order=15): FAILS at t^5 (lhs=109, rhs=108)\n")
+
+
+def bump_block_route(monkeypatch, name, weight):
+    """Add 1 to thm2's ``rho`` at n = p * weight, or to its ``dim_center`` at that weight."""
+    from blockhh import hochschild as hh
+
+    real = getattr(hh, name)
+    if name == "rho":
+
+        def bumped(n, core, p, Z=None):
+            return real(n, core, p, Z) + (n == p * weight)
+
+    else:
+
+        def bumped(b, Z=None):
+            return real(b, Z) + (b.weight == weight)
+
+    monkeypatch.setattr(hh, name, bumped)
+
+
+@pytest.mark.parametrize(
+    "name, weight, line",
+    [
+        ("rho", 7, "thm2 (p=3, order=15): FAILS at t^8 (lhs=844, rhs=845)"),
+        ("dim_center", 3, "thm2 (p=3, order=15): FAILS at t^4 (lhs=35, rhs=36)"),
+    ],
+)
+def test_block_route_fault_fails_thm2(monkeypatch, name, weight, line):
+    # a partial sum over weights j < w first differs at t^(weight + 1)
+    bump_block_route(monkeypatch, name, weight)
+    code, text = run(["verify", "--which", "thm2", "--p", "3", "--order", "30"])
+    assert (code, text) == (1, line + "\n")
+
+
+def test_thm2_reports_the_first_listed_route_that_fails(monkeypatch):
+    # the rho route is listed before the center route, so its t^8 is
+    # reported although the center route already differs at t^4
+    bump_block_route(monkeypatch, "rho", 7)
+    bump_block_route(monkeypatch, "dim_center", 3)
+    code, text = run(["verify", "--which", "thm2", "--p", "3", "--order", "30"])
+    assert (code, text) == (1, "thm2 (p=3, order=15): FAILS at t^8 (lhs=844, rhs=845)\n")
 
 
 @pytest.mark.parametrize("fault", [False, True])

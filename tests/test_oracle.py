@@ -1,11 +1,12 @@
 import pytest
 
 from blockhh.blocks import blocks_of, dim_hh1
-from blockhh.oracle import CycleType, hh1_group_oracle, hom_to_Fp_dim
+from blockhh.oracle import hh1_group_oracle
 from blockhh.partitions import Partition, partitions_of
 from blockhh.series import partition_gf
 
 import oracles
+from oracles import CycleType, hom_to_Fp_dim
 
 
 def ct(*parts):

@@ -6,8 +6,9 @@ import pytest
 
 from blockhh.blocks import BlockDescriptor
 from blockhh.hochschild import VerificationReport
-from blockhh.oracle import CycleType
 from blockhh.partitions import EMPTY, CoreQuotient, Partition
+
+from oracles import CycleType
 
 # class, valid field values in field order, their repr, and a second valid value
 RECORDS = [
