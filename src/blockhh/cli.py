@@ -250,7 +250,7 @@ def main(argv: Iterable[str] | None = None, out=None) -> int:
             return cmd_verify(args, out)
         return cmd_oracle(args, out)
     except (ValueError, RuntimeError) as exc:
-        # ValueError is a usage error; RuntimeError an internal cross-check that disagreed
+        # ValueError is a usage error; RuntimeError an arithmetic or output invariant that failed
         print("blockhh: error: %s" % exc, file=sys.stderr)
         return 2 if isinstance(exc, ValueError) else 1
 

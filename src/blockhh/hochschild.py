@@ -19,9 +19,10 @@ being verified, each as an exact coefficientwise identity:
 * y_w is the partial-sum formula over smaller principal-block centers,
   doubled when p = 2.
 
-phi is never assumed: the verifiers reconstruct it from series data by exact
-rational fitting and only then compare against the closed form (2/(1-t) for
-p = 2, 1/(1-t) for p >= 3), so a transcription error in either route fails.
+phi is never assumed: fit_phi reconstructs it by exact rational fitting of a
+series prefix, and thm3 alone compares it, to the full order, with the data
+and the closed form (2/(1-t) for p = 2, 1/(1-t) for p >= 3), so a
+transcription error in either route fails, and so does a failed fit (None).
 Each identity is compared in one place, the verifier that reports it, and
 every verifier ends in _verdict; the builders return one route each.
 Every product is the one sparse recurrence series_mul_ratio: directly for a
@@ -104,10 +105,11 @@ def phi_r1(p: int) -> RationalFunction:
 
 
 class SeriesContext:
-    """P, Z, Y (from that Z), the group series, the core-count sections and the
-    fitted phi for one prime, each built at most once, on first use, to
-    max(order, 2): eq12 reads Z, Y and C_s only to its section length, at most
-    the order, and thm2 at order 1 reads weight 1."""
+    """P, Z, Y (from that Z), the group series and the core-count sections for
+    one prime, each built at most once, on first use, to max(order, 2): eq12
+    reads Z, Y and C_s only to its section length, at most the order, and thm2
+    at order 1 reads weight 1.  phi is fitted once, on fit_phi's prefix, and is
+    None when no fit exists."""
 
     def __init__(self, p: int, order: int):
         _check_prime(p)
@@ -139,7 +141,7 @@ class SeriesContext:
         return tuple(section(cores, self.p, s) for s in range(self.p))
 
     @cached_property
-    def phi(self) -> RationalFunction:
+    def phi(self) -> Optional[RationalFunction]:
         return fit_phi(self.p, self.order, self)
 
 
@@ -180,31 +182,24 @@ def theorem3_min_order(p: int) -> int:
     return max(20, 2 * p + 7)
 
 
-def fit_phi(p: int, order: int, ctx: Optional[SeriesContext] = None) -> RationalFunction:
-    """Reconstruct phi from series data alone: fit (Y(t)/t) * Z(t)^(-1).
+def fit_phi(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Optional[RationalFunction]:
+    """Reconstruct phi from series data alone: fit (Y(t)/t) * Z(t)^(-1), or None.
 
-    Uses degree bounds (p+2, p+2), generous for the true answer; needs
-    order >= 2p + 7 so the fit is overdetermined.  Raises RuntimeError if Y
-    has a constant term or no rational function within the bounds matches
-    (which would falsify rationality).  Y and Z are read from ``ctx`` when given.
+    Reads Y and Z only to theorem3_min_order(p), which overdetermines degree
+    bounds (p+2, p+2); within them a fit of the prefix is the function (Pade
+    uniqueness), and thm3 checks it to the full order.  None when Y has a
+    constant term or nothing matches.  Y and Z are read from ``ctx`` when given.
     """
-    if order < 2 * p + 7:
+    need = theorem3_min_order(p)
+    if order < need:
         raise ValueError(
-            "order %d too small to overdetermine the (p+2, p+2) fit; need >= %d"
-            % (order, 2 * p + 7)
+            "order %d too small to overdetermine the (p+2, p+2) fit; need >= %d" % (order, need)
         )
     ctx = _context(p, order, ctx)
-    y, z = truncate(ctx.Y, order), truncate(ctx.Z, order)
+    y, z = truncate(ctx.Y, need), truncate(ctx.Z, need)
     if y[0] != 0:
-        raise RuntimeError("Y has constant term %s, so Y/t is not a power series" % y[0])
-    phi_series = series_mul(shift(y, -1), series_inv(z))
-    fitted = rational_fit(phi_series, p + 2, p + 2)
-    if fitted is None:
-        raise RuntimeError(
-            "no rational function of degree <= (%d, %d) matches the phi series"
-            % (p + 2, p + 2)
-        )
-    return fitted
+        return None
+    return rational_fit(series_mul(shift(y, -1), series_inv(z)), p + 2, p + 2)
 
 
 def verify_block_decomposition(
@@ -243,21 +238,23 @@ def verify_theorem3(
     fit equals the closed form, the group check is the one comparison of the
     group series' closed-form and substitution routes.
 
-    Also checks that y_1 is the weight-1 dimension and that the fitted phi
-    matches the closed form; with Y = t phi Z and z_0 = 1, phi(0) = y_1 != 0.
-    Requires order >= theorem3_min_order(p).  phi is the context's fit, at
-    its order.  ``inject_fault`` corrupts one Y coefficient after fitting.
+    Also checks y_0 = 0, y_1 against the weight-1 dimension and the fitted
+    phi against the closed form; with Y = t phi Z and z_0 = 1, phi(0) = y_1.
+    Requires order >= theorem3_min_order(p).  phi is the context's prefix
+    fit; when there is none, Y is compared with t phi_r1 Z, which locates the
+    first coefficient where Y leaves that form.  ``inject_fault`` corrupts
+    one Y coefficient after fitting.
     """
     if order < theorem3_min_order(p):
         raise ValueError("order %d too small; need >= %d" % (order, theorem3_min_order(p)))
     ctx = _context(p, order, ctx)
     y = truncate(ctx.Y, order)
-    phi_hat = ctx.phi
+    phi_hat = ctx.phi or phi_r1(p)
     if inject_fault:
         y = _bump(y, order // 2)
 
     def comparisons():
-        yield truncate(y, 2), Series([0, y1_formula(p, 1)])  # the fit made y_0 = 0
+        yield truncate(y, 2), Series([0, y1_formula(p, 1)])
         # agreement to this order pins the function within the degree bounds
         yield expand(phi_hat, order), expand(phi_r1(p), order)
         z = truncate(ctx.Z, order - 1)

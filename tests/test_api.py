@@ -90,3 +90,16 @@ def test_the_package_has_no_assert_and_no_float():
             ):
                 found.append((path.name, node.lineno))
     assert found == []
+
+
+def test_only_arithmetic_and_output_invariants_raise_runtime_error():
+    # identities are compared and reported by the verifiers, never raised
+    raisers = set()
+    for path in sorted(Path(blockhh.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Raise) and "RuntimeError" in ast.unparse(node)
+                for node in ast.walk(fn)
+            ):
+                raisers.add("%s.%s" % (path.stem, fn.name))
+    assert raisers == {"series.euler_power", "cli._int_coeff", "rational._first_skew_exponent"}

@@ -330,23 +330,34 @@ def bump_block_series_at(monkeypatch, k):
 
 
 @pytest.mark.parametrize(
-    "k, message",
+    "k, phi, lhs",
     [
-        (0, "Y has constant term 1, so Y/t is not a power series"),
-        (5, "no rational function of degree <= (5, 5) matches the phi series"),
+        (0, "None", 1),
+        (5, "None", 87),
+        (19, "None", 379747),  # the last coefficient of the fit's prefix
+        (20, "1/(1 - t)", 601657),
+        (29, "1/(1 - t)", 25336142),
     ],
 )
 @pytest.mark.parametrize("which", ["thm3", "all"])
-def test_y_fault_that_defeats_the_phi_fit_exits_one(monkeypatch, capsys, which, k, message):
-    # the fit runs before thm3 can report, so the run ends with one error line;
-    # with --which all, thm2 has already reported the bumped coefficient
+def test_y_fault_that_defeats_the_phi_fit_exits_one(monkeypatch, capsys, which, k, phi, lhs):
+    # a fault in the fit's prefix (Y to t^19 at p = 3) leaves no fit, and thm3
+    # compares Y with the closed form; past the prefix, the fit finds phi and
+    # thm3's full-order comparison finds the fault.  thm2 reads Y to t^15 only
     bump_block_series_at(monkeypatch, k)
     code, text = run(["verify", "--which", which, "--p", "3", "--order", "30"])
     assert code == 1
-    lhs = {0: 0, 5: 86}[k]
-    thm2 = "thm2 (p=3, order=15): FAILS at t^%d (lhs=%d, rhs=%d)\n" % (k, lhs, lhs + 1)
-    assert text == ("" if which == "thm3" else thm2)
-    assert capsys.readouterr().err == "blockhh: error: %s\n" % message
+    assert capsys.readouterr().err == ""
+    lines = text.splitlines()
+    thm3 = ["thm3 (p=3, order=30): FAILS at t^%d (lhs=%d, rhs=%d)" % (k, lhs, lhs - 1),
+            "fitted phi = %s" % phi]
+    if which == "thm3":
+        assert lines == thm3
+        return
+    thm2 = "thm2 (p=3, order=15): " + (
+        "FAILS at t^%d (lhs=%d, rhs=%d)" % (k, lhs - 1, lhs) if k <= 15 else "holds")
+    assert lines[:3] == [thm2] + thm3
+    assert [line.split(" ")[0] for line in lines[3:]] == ["eq12:s=0", "eq12:s=1", "eq12:s=2"]
 
 
 def test_weight_one_check_of_thm3_fires(monkeypatch):

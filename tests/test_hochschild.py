@@ -174,6 +174,9 @@ def test_theorem3_holds(p):
 def test_theorem3_fitted_phi():
     assert fit_phi(3, 40) == RationalFunction(Polynomial([1]), Polynomial([1, -1]))
     assert fit_phi(2, 40) == RationalFunction(Polynomial([2]), Polynomial([1, -1]))
+    ctx = SeriesContext(3, 40)
+    ctx.Y = Series((1,) + ctx.Y.coeffs[1:])  # a constant term: Y/t is no power series
+    assert fit_phi(3, 40, ctx) is None
 
 
 def test_theorem3_detects_fault():
@@ -297,8 +300,10 @@ def test_context_must_cover_the_request():
 
 
 def test_every_verifier_refuses_its_bad_arguments():
-    with pytest.raises(ValueError, match="need >= 13"):
+    with pytest.raises(ValueError, match="need >= 20"):
         fit_phi(3, 12)
+    with pytest.raises(ValueError, match="order 19 too small .* need >= 20"):
+        fit_phi(2, 19)
     with pytest.raises(ValueError, match="residue 3 out of range 0..2"):
         verify_block_decomposition(3, 3, 10)
     with pytest.raises(ValueError, match="residue -1 out of range"):
