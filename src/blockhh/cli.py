@@ -1,8 +1,12 @@
 """Command-line surface: block tables, series dumps, and the verify harness.
 
 Output schemas are fixed per subcommand and integer-exact everywhere (full
-decimal, no floats).  Exit codes: 0 success or all identities verified,
-1 a verification/comparison failure, 2 usage error.
+decimal, no floats).  ``tables.emit`` writes each table row by row as it is
+rendered, in batches of about 64 KiB, so a dump's memory does not grow with
+its length; every value is checked before the first byte is written.  Exit
+codes: 0 success or all identities verified, 1 a verification/comparison
+failure (or stdout closed by its reader, which ends the run without a
+traceback), 2 usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from . import blocks as blocks_mod
 from . import hochschild as hh
 from .partitions import Partition, _check_prime
 from .series import Series, euler_power, partition_gf, pcore_count_gf, section
+from .tables import emit
 
 FALLBACK_ORDER = 40
 ORDER_ENV_VAR = "BLOCKHH_ORDER_DEFAULT"
@@ -62,37 +67,6 @@ def default_order() -> int:
     return v
 
 
-def canonical_json(obj) -> str:
-    """The one JSON rendering: sorted keys, two-space indent, exact ints."""
-    import json  # json and csv load only for the format that uses them
-
-    return json.dumps(obj, sort_keys=True, indent=2)
-
-
-def _cell(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
-
-
-def _emit(command: str, params: dict, headers: list[str], rows: list[dict], fmt: str, out) -> None:
-    if fmt == "json":
-        out.write(canonical_json({"command": command, "params": params, "rows": rows}))
-        out.write("\n")
-    elif fmt == "csv":
-        import csv
-
-        writer = csv.writer(out)
-        writer.writerow(headers)
-        for row in rows:
-            writer.writerow([_cell(row[h]) for h in headers])
-    else:
-        grid = [headers] + [[_cell(row[h]) for h in headers] for row in rows]
-        widths = [max(len(r[i]) for r in grid) for i in range(len(headers))]
-        for r in grid:
-            out.write("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip() + "\n")
-
-
 def _core_str(core: Partition) -> str:
     return ",".join(str(x) for x in core.parts)
 
@@ -120,7 +94,7 @@ def cmd_blocks(args, out) -> int:
             }
         )
     headers = ["p", "n", "core", "weight", "defect_order_exp", "dim_center", "dim_hh1"]
-    _emit("blocks", {"p": args.p, "n": args.n}, headers, rows, args.format, out)
+    emit("blocks", {"p": args.p, "n": args.n}, headers, lambda: rows, args.format, out)
     return 0
 
 
@@ -148,16 +122,20 @@ def cmd_series(args, parser, out) -> int:
             parser.error("argument --s: %d out of range 0..%d" % (args.s, args.p - 1))
     elif args.s is not None:
         parser.error("argument --s: only meaningful for series 'Cs'")
-    series = _series_for(args.name, args.p, args.order, args.s)
-    rows = [
-        {"exponent": n, "coefficient": _int_coeff(c)} for n, c in enumerate(series.coeffs)
-    ]
+    coeffs = _series_for(args.name, args.p, args.order, args.s).coeffs
+    for c in coeffs:  # every coefficient is checked before anything is written
+        _int_coeff(c)
+
+    def rows():
+        for n, c in enumerate(coeffs):
+            yield {"exponent": n, "coefficient": int(c)}
+
     params = {"name": args.name, "order": args.order}
     if args.p is not None:
         params["p"] = args.p
     if args.s is not None:
         params["s"] = args.s
-    _emit("series", params, ["exponent", "coefficient"], rows, args.format, out)
+    emit("series", params, ["exponent", "coefficient"], rows, args.format, out)
     return 0
 
 
@@ -195,7 +173,7 @@ def cmd_oracle(args, out) -> int:
         f = _int_coeff(formula[n])
         rows.append({"n": n, "oracle": o, "formula": f, "match": o == f})
     headers = ["n", "oracle", "formula", "match"]
-    _emit("oracle", {"p": args.p, "n_max": args.n_max}, headers, rows, args.format, out)
+    emit("oracle", {"p": args.p, "n_max": args.n_max}, headers, lambda: rows, args.format, out)
     return 0 if all(r["match"] for r in rows) else 1
 
 
@@ -256,7 +234,15 @@ def main(argv: Iterable[str] | None = None, out=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so the flush at exit
+        # cannot raise again, and exit 1 as Python does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -12,14 +12,20 @@ own enumeration (ZS1, abacus cores) and are tested against the routes above.
 ``CycleType`` and ``hom_to_Fp_dim``, also formerly public, are the per-class
 definition that the package's run-length oracle loop is tested against.
 
-The last four are the package's former dense loops for the Cauchy product,
+The next four are the package's former dense loops for the Cauchy product,
 expansion, inversion and the full-system rational fit, kept unchanged as
 ground truth for the sparse recurrence ``series_mul_ratio`` and the square
 Pade solve.
+
+The last, ``render_reference``, is the CLI's former renderer, which built
+the whole document in memory before writing it; the streaming
+``tables.emit`` is tested against it.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
@@ -29,6 +35,7 @@ from blockhh.partitions import Partition, _check_prime, is_p_core, p_core, parti
 from blockhh.rational import Polynomial, RationalFunction, _solve_exact
 from blockhh.record import Record
 from blockhh.series import Coeff, Series, _coeff
+from blockhh.tables import canonical_json
 
 
 def asc_partitions(n: int) -> list[tuple[int, ...]]:
@@ -328,3 +335,29 @@ def rational_fit_reference(
     if expand_reference(f, s.order) != s:
         return None
     return f
+
+
+def _cell(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
+
+
+def render_reference(command: str, params: dict, headers: list[str], rows: list[dict],
+                     fmt: str) -> str:
+    """One table as the CLI used to render it: the whole document, then one write."""
+    out = io.StringIO()
+    if fmt == "json":
+        out.write(canonical_json({"command": command, "params": params, "rows": rows}))
+        out.write("\n")
+    elif fmt == "csv":
+        writer = csv.writer(out)
+        writer.writerow(headers)
+        for row in rows:
+            writer.writerow([_cell(row[h]) for h in headers])
+    else:
+        grid = [headers] + [[_cell(row[h]) for h in headers] for row in rows]
+        widths = [max(len(r[i]) for r in grid) for i in range(len(headers))]
+        for r in grid:
+            out.write("  ".join(c.rjust(w) for c, w in zip(r, widths)).rstrip() + "\n")
+    return out.getvalue()

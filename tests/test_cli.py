@@ -3,8 +3,9 @@ import json
 import sys
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from blockhh import cli
+from blockhh import cli, tables
 from blockhh.series import Series
 
 import oracles
@@ -429,10 +430,10 @@ def test_oracle_zero_rows_below_p():
 
 def test_json_roundtrip_is_byte_identical():
     _, text = run(["blocks", "--p", "2", "--n", "6", "--format", "json"])
-    reparsed = cli.canonical_json(json.loads(text)) + "\n"
+    reparsed = tables.canonical_json(json.loads(text)) + "\n"
     assert reparsed == text
     _, text = run(["series", "--name", "P", "--order", "8", "--format", "json"])
-    assert cli.canonical_json(json.loads(text)) + "\n" == text
+    assert tables.canonical_json(json.loads(text)) + "\n" == text
 
 
 def test_csv_output_has_header():
@@ -460,6 +461,159 @@ def test_table_output_aligned():
     from blockhh.blocks import blocks_of
 
     assert len(lines) - 1 == len(blocks_of(2, 4))
+
+
+class _Writes:
+    """An output stream that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+
+
+def _former_rendering(monkeypatch, argv):
+    """Exit code and output of the former renderer, fed the rows argv emits."""
+    rendered = []
+
+    def render(command, params, headers, rows, fmt, out):
+        rendered.append(oracles.render_reference(command, params, headers, list(rows()), fmt))
+
+    with monkeypatch.context() as m:
+        m.setattr(cli, "emit", render)
+        code = cli.main(argv, out=io.StringIO())
+    return code, rendered[0]
+
+
+STREAMED = [
+    ["blocks", "--p", "2", "--n", "0"],
+    ["blocks", "--p", "3", "--n", "24"],
+    ["series", "--name", "P", "--order", "1"],
+    ["series", "--name", "P", "--order", "4000"],
+    ["series", "--name", "Z", "--p", "3", "--order", "1500"],
+    ["series", "--name", "Y", "--p", "2", "--order", "1500"],
+    ["series", "--name", "HH1group", "--p", "5", "--order", "1500"],
+    ["series", "--name", "Cs", "--p", "3", "--s", "2", "--order", "1500"],
+    ["oracle", "--p", "2", "--n-max", "0"],
+    ["oracle", "--p", "3", "--n-max", "14"],
+]
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("argv", STREAMED, ids=" ".join)
+def test_streamed_output_matches_the_former_renderer(monkeypatch, argv, fmt):
+    argv = argv + ["--format", fmt]
+    sink = _Writes()
+    code = cli.main(argv, out=sink)
+    assert (code, "".join(sink.writes)) == _former_rendering(monkeypatch, argv)
+    # every write but the last is one full batch; no row is near 1 KiB
+    *full, last = sink.writes
+    assert all(tables.BATCH_CHARS <= len(w) < tables.BATCH_CHARS + 1024 for w in full)
+    assert 0 < len(last) < tables.BATCH_CHARS + 1024
+    if argv[:5] == ["series", "--name", "P", "--order", "4000"]:
+        assert len(sink.writes) >= 4
+
+
+_texts = st.text(max_size=5) | st.sampled_from(
+    ['"', ",", "a,b", 'say "hi"', "caf\u00e9", "\u2603,\"x\"", "%s", "%", "\\", "\n"]
+)
+_values = (
+    st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**200)
+    | st.integers(min_value=-(2**200), max_value=-(2**64))
+    | _texts
+)
+
+
+@st.composite
+def _tables(draw):
+    headers = draw(st.lists(_texts, min_size=1, max_size=4, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({h: _values for h in headers}), max_size=4))
+    params = draw(st.dictionaries(_texts, st.integers() | _texts, max_size=3))
+    return draw(_texts), params, headers, rows
+
+
+@given(_tables(), st.sampled_from(["table", "json", "csv"]))
+@example(("series", {"name": "P", "order": 1}, ["exponent", "coefficient"], []), "json")
+@example(("series", {"name": "P", "order": 1}, ["exponent", "coefficient"], []), "table")
+@example(("oracle", {}, ["n", "match"], [{"n": -(2**70), "match": False}]), "json")
+@example(("%s", {"%": "%d"}, ["%", "%s", 'q"'], [{"%": 1, "%s": "%", 'q"': True}]), "json")
+def test_emit_matches_the_former_renderer(table, fmt):
+    command, params, headers, rows = table
+    out = io.StringIO()
+    tables.emit(command, params, headers, lambda: rows, fmt, out)
+    assert out.getvalue() == oracles.render_reference(command, params, headers, rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_nothing_is_written_before_a_late_non_integer_coefficient(monkeypatch, capsys, fmt):
+    from fractions import Fraction
+
+    coeffs = [10**20] * 4999 + [Fraction(1, 2)]  # json and csv fill several batches first
+    monkeypatch.setattr(cli, "partition_gf", lambda order: Series(coeffs))
+    sink = _Writes()
+    code = cli.main(["series", "--name", "P", "--order", "5000", "--format", fmt], out=sink)
+    assert (code, sink.writes) == (1, [])
+    err = capsys.readouterr().err
+    assert err == "blockhh: error: non-integer coefficient 1/2 in an integer series\n"
+
+
+class _Null:
+    """An output stream that keeps nothing."""
+
+    def write(self, text):
+        pass
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_output_memory_does_not_grow_with_the_document(monkeypatch, fmt):
+    """Everything a dump of 8000 coefficients allocates besides the series is
+    under 512 KiB, counted by tracemalloc, so the bound holds on any host."""
+    import tracemalloc
+
+    from blockhh.series import partition_gf
+
+    series = partition_gf(8000)
+    monkeypatch.setattr(cli, "partition_gf", lambda order: series)
+    argv = ["series", "--name", "P", "--order", "8000", "--format", fmt]
+    cli.main(argv, out=_Null())  # json and csv are imported before the count starts
+    tracemalloc.start()
+    try:
+        assert cli.main(argv, out=_Null()) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+@pytest.mark.parametrize("fmt", ["json", "csv", "table"])
+def test_closed_pipe_exits_one_without_traceback(fmt, unbuffered):
+    import os
+    import subprocess
+
+    import blockhh
+
+    src = os.path.dirname(os.path.dirname(blockhh.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = ["series", "--name", "P", "--order", "5000", "--format", fmt]
+    proc = subprocess.Popen([sys.executable, "-m", "blockhh.cli"] + argv, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()  # far more than a pipe holds is still to come
+    proc.stdout.close()
+    try:
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 1
+    assert first.strip()
+    assert b"Traceback" not in err
+    assert err == b""
 
 
 def test_env_var_overrides_default_order(monkeypatch):
