@@ -106,11 +106,12 @@ def partitions_of(n: int) -> list[Partition]:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return [EMPTY]
-    trusted = Partition._trusted
+    new = object.__new__  # Partition._trusted, inlined: no checks, no call
     x = [1] * n
     x[0] = n
     m, h = 1, 0
-    out = [trusted((n,), n)]
+    out = [Partition._trusted((n,), n)]
+    append = out.append
     while x[0] != 1:
         if x[h] == 2:
             m, x[h] = m + 1, 1
@@ -126,7 +127,9 @@ def partitions_of(n: int) -> list[Partition]:
             if t > 1:
                 h += 1
                 x[h] = t
-        out.append(trusted(tuple(x[:m]), n))
+        lam = new(Partition)
+        lam.parts, lam.size = tuple(x[:m]), n
+        append(lam)
     return out
 
 
@@ -213,9 +216,17 @@ def is_p_core(lam: Partition, p: int) -> bool:
 
 def _no_p_hook(lam: Partition, p: int) -> bool:
     """``is_p_core`` for a p already checked prime; the beta-set of length
-    len(parts) is read straight from the parts."""
-    L = len(lam.parts)
-    beta = {x + L - i for i, x in enumerate(lam.parts, 1)}
+    len(parts) is read straight from the parts.
+
+    The lowest beads are tested first, without the beta-set: a last part of
+    at least p is a horizontal p-hook in the last row, and p equal last parts
+    are a vertical one in the last p rows.
+    """
+    parts = lam.parts
+    L = len(parts)
+    if L and (parts[-1] >= p or (L >= p and parts[-p] == parts[-1])):
+        return False
+    beta = {x + L - i for i, x in enumerate(parts, 1)}
     for b in beta:
         if b >= p and b - p not in beta:
             return False

@@ -5,15 +5,17 @@ from a series prefix (an exact Pade-style fit, solved over the rationals with
 no tolerances), and the constructive descent g(t) from f(t) = g(t^m): the
 m-sections of numerator and denominator already exhibit g, and a polynomial
 cross-multiplication identity certifies the answer exactly.
+
+Every division goes through ``series._inverse``, so ``fractions`` loads with
+the first one: coefficients stay ints until a quotient needs a ``Fraction``.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Optional
 
 from . import series
-from .series import Coeff, Series, _coeff, one, series_mul_ratio
+from .series import Coeff, Series, _coeff, _inverse, one, series_mul_ratio
 
 
 class Polynomial:
@@ -40,7 +42,7 @@ class Polynomial:
         acc: Coeff = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return _coeff(acc) if isinstance(acc, Fraction) else acc
+        return _coeff(acc)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polynomial):
@@ -56,7 +58,7 @@ class Polynomial:
         return Polynomial(series_mul_ratio(padded, other.coeffs, (1,)).coeffs)
 
     def scale(self, c: Coeff) -> "Polynomial":
-        return Polynomial(Fraction(x) * c for x in self.coeffs)
+        return Polynomial(x * c for x in self.coeffs)
 
     def shift(self, k: int) -> "Polynomial":
         """Multiply by t^k."""
@@ -104,9 +106,9 @@ def divmod_poly(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
         raise ZeroDivisionError("polynomial division by zero")
     q = [0] * max(0, a.degree - b.degree + 1)
     r = list(a.coeffs)
-    lead = Fraction(b.coeffs[-1])
+    inv = _inverse(b.coeffs[-1])
     for k in range(a.degree - b.degree, -1, -1):
-        c = Fraction(r[k + b.degree]) / lead
+        c = r[k + b.degree] * inv
         if c != 0:
             q[k] = c
             for j, bj in enumerate(b.coeffs):
@@ -120,7 +122,7 @@ def gcd_poly(a: Polynomial, b: Polynomial) -> Polynomial:
         a, b = b, divmod_poly(a, b)[1]
     if a.is_zero:
         return a
-    return a.scale(Fraction(1) / a.coeffs[-1])
+    return a.scale(_inverse(a.coeffs[-1]))
 
 
 class RationalFunction:
@@ -145,7 +147,7 @@ class RationalFunction:
         num, _ = divmod_poly(num, g)
         den, _ = divmod_poly(den, g)
         pivot = den(0) if den(0) != 0 else den.coeffs[-1]
-        inv = Fraction(1) / pivot
+        inv = _inverse(pivot)
         self.num = num.scale(inv)
         self.den = den.scale(inv)
 
@@ -207,13 +209,12 @@ def rational_fit(
     # Approximants, Thm 1.1); re-expanding against all of s stays overdetermined.
     c = s.coeffs
     eqs = range(max_num_deg + 1, max_num_deg + max_den_deg + 1)
-    rows = [[Fraction(c[k - j]) if k >= j else Fraction(0) for j in range(1, max_den_deg + 1)]
-            for k in eqs]
-    rhs = [Fraction(-c[k]) for k in eqs]
+    rows = [[c[k - j] if k >= j else 0 for j in range(1, max_den_deg + 1)] for k in eqs]
+    rhs = [-c[k] for k in eqs]
     q = _solve_exact(rows, rhs, max_den_deg)
     if q is None:
         return None
-    qfull = [Fraction(1)] + q
+    qfull = [1] + q
     num = series_mul_ratio(Series._trusted(c[: max_num_deg + 1]), qfull, (1,))
     f = RationalFunction(Polynomial(num.coeffs), Polynomial(qfull))
     if expand(f, s.order) != s:
@@ -222,8 +223,8 @@ def rational_fit(
 
 
 def _solve_exact(
-    rows: list[list[Fraction]], rhs: list[Fraction], ncols: int
-) -> Optional[list[Fraction]]:
+    rows: list[list[Coeff]], rhs: list[Coeff], ncols: int
+) -> Optional[list[Coeff]]:
     """One exact solution of rows*x = rhs (free variables set to 0), or None."""
     m = [row[:] + [b] for row, b in zip(rows, rhs)]
     nrows = len(m)
@@ -234,7 +235,7 @@ def _solve_exact(
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
-        inv = Fraction(1) / m[r][col]
+        inv = _inverse(m[r][col])
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):
             if i != r and m[i][col] != 0:
@@ -247,7 +248,7 @@ def _solve_exact(
     for i in range(r, nrows):
         if m[i][ncols] != 0:
             return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for i, col in enumerate(pivots):
         x[col] = m[i][ncols]
     return x

@@ -8,15 +8,19 @@ never floats, so identity checks performed with these series are meaningful.
 Every product of two coefficient sequences, every inverse and every expansion
 is the one sparse recurrence series_mul_ratio.  The module imports nothing
 from the package, so the one prime check lives here.
+
+``fractions`` loads only when a rational coefficient can arise: ``_coeff``
+imports it for a coefficient that is not an int, and ``_inverse`` for the
+exact division behind every ``Fraction`` the package builds.  Integer-only
+work (partition counts, core counts, the count series) never loads it.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import Iterable, Sequence, Union
 
-Coeff = Union[int, Fraction]
+Coeff = Union[int, "Fraction"]
 
 
 def _check_prime(p: int) -> None:
@@ -25,12 +29,24 @@ def _check_prime(p: int) -> None:
 
 
 def _coeff(x) -> Coeff:
-    """Validate and normalize a coefficient (Fraction with denominator 1 -> int)."""
+    """Validate and normalize a coefficient (Fraction with denominator 1 -> int);
+    an int returns at once, before fractions is loaded (bool is not an int here)."""
+    if type(x) is int:
+        return x
+    from fractions import Fraction
+
     if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
         raise TypeError("exact coefficient required, got %s" % type(x).__name__)
     if isinstance(x, Fraction) and x.denominator == 1:
         return int(x)
     return x
+
+
+def _inverse(c: Coeff) -> Coeff:
+    """1/c for a nonzero exact coefficient, normalized as ``_coeff`` does."""
+    from fractions import Fraction
+
+    return _coeff(Fraction(1, c))
 
 
 class Series:
@@ -111,6 +127,7 @@ def series_mul_ratio(a: Series, num: Sequence[Coeff], den: Sequence[Coeff]) -> S
     if not den or den[0] == 0:
         raise ValueError("denominator vanishes at 0: no power-series expansion")
     order, ac, d0 = a.order, a.coeffs, den[0]
+    inv0 = _inverse(d0) if d0 != 1 else 1
     num_terms = [(k, c) for k, c in enumerate(num[:order]) if c]
     den_terms = [(k, c) for k, c in enumerate(den[:order]) if c and k]
     out: list[Coeff] = []
@@ -125,8 +142,8 @@ def series_mul_ratio(a: Series, num: Sequence[Coeff], den: Sequence[Coeff]) -> S
                 break
             acc -= c * out[n - k]
         if d0 != 1:
-            acc = Fraction(acc) / d0
-        out.append(int(acc) if type(acc) is Fraction and acc.denominator == 1 else acc)
+            acc *= inv0
+        out.append(acc if type(acc) is int else _coeff(acc))
     return Series._trusted(tuple(out))
 
 

@@ -674,6 +674,22 @@ def test_cli_start_loads_no_unused_stdlib_modules():
                              capture_output=True, text=True).stdout
         return set(out.split())
 
-    added = loaded("import blockhh.cli; ") - loaded("")
+    unused = {"dataclasses", "inspect", "logging", "json", "csv"}
+    rational = {"fractions", "decimal", "numbers"}  # fractions brings the other two
+    bare = loaded("")
+    added = loaded("import blockhh.cli; ") - bare
     assert "blockhh.cli" in added
-    assert not added & {"dataclasses", "inspect", "logging", "json", "csv"}
+    assert not added & (unused | rational)
+
+    run_quietly = "import os; from blockhh import cli; cli.main(%r, out=open(os.devnull, 'w')); "
+    integer_only = [["blocks", "--p", "3", "--n", "12"], ["oracle", "--p", "2", "--n-max", "10"]]
+    integer_only += [["series", "--name", "P"], ["series", "--name", "Z", "--p", "3"],
+                     ["series", "--name", "HH1group", "--p", "3"],
+                     ["series", "--name", "Cs", "--p", "3", "--s", "1"]]
+    for argv in integer_only:
+        added = loaded(run_quietly % (argv,)) - bare
+        assert not added & (unused | rational), argv
+    # thm3's rational factor divides, so the deferred import runs
+    verify = ["verify", "--which", "thm3", "--p", "2", "--order", "30"]
+    added = loaded(run_quietly % (verify,)) - bare
+    assert rational <= added and not added & unused

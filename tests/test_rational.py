@@ -32,6 +32,13 @@ def test_polynomial_trims_and_degree():
     assert Polynomial([Fraction(4, 2)]).coeffs == (2,)
 
 
+def test_polynomial_value_is_exact():
+    value = Polynomial([1, 2])(Fraction(1, 2))
+    assert value == 2 and type(value) is int
+    with pytest.raises(TypeError, match="exact coefficient"):
+        Polynomial([1, 2])(0.5)
+
+
 poly_coeffs = st.lists(
     st.integers(-9, 9) | st.fractions(max_denominator=6) | st.just(0), max_size=8
 )
