@@ -112,6 +112,16 @@ def dim_center(b: BlockDescriptor, Z: Optional[Series] = None) -> int:
     return _tuple_counts(b.p, b.weight, Z)[b.weight]
 
 
+def _hh1_factor(p: int) -> int:
+    """The factor of the weight-partial-sum formula: 2 when p = 2, else 1.
+
+    dim_hh1, the Y series and thm2's partial sums all read it here, so a
+    fault in it leaves them agreeing: only the closed forms that thm3 and
+    eq12 compare with can see it.
+    """
+    return 2 if p == 2 else 1
+
+
 def dim_hh1(b: BlockDescriptor, Z: Optional[Series] = None) -> int:
     """Dimension of the block's first Hochschild cohomology.
 
@@ -120,6 +130,5 @@ def dim_hh1(b: BlockDescriptor, Z: Optional[Series] = None) -> int:
     and the plain sum for p >= 3.  Zero exactly at weight 0, strictly
     positive for every positive-weight (equivalently, positive-defect) block.
     """
-    factor = 2 if b.p == 2 else 1
-    return factor * sum(_tuple_counts(b.p, b.weight, Z)[: b.weight])
+    return _hh1_factor(b.p) * sum(_tuple_counts(b.p, b.weight, Z)[: b.weight])
 

@@ -1,5 +1,14 @@
 """Command-line surface: block tables, series dumps, and the verify harness.
 
+The grammar is one table, ``GRAMMAR``: each subcommand with its handler,
+help line and options.  ``cmdline.parse_exact`` reads a command line in its
+exact forms: the subcommand first, then ``--opt VALUE``, ``--opt=VALUE`` or
+the bare ``--inject-fault``, every option name in full.  Anything else
+(``-h``, an abbreviated or unknown option, a bad or missing value, a missing
+required option, a stray token) and the cross-field errors of ``series`` go
+to argparse, imported and built from the same table only then, so help,
+usage lines, error messages and exit code 2 are argparse's.
+
 Output schemas are fixed per subcommand and integer-exact everywhere (full
 decimal, no floats).  ``tables.emit`` writes each table row by row as it is
 rendered, in batches of about 64 KiB, so a dump's memory does not grow with
@@ -11,43 +20,51 @@ traceback), 2 usage error.
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from typing import Iterable
 
 from . import blocks as blocks_mod
 from . import hochschild as hh
+from .cmdline import build_parser, parse_exact
 from .partitions import Partition, _check_prime
-from .series import Series, euler_power, partition_gf, pcore_count_gf, section
+from .series import PRIME_LIMIT, Series, euler_power, partition_gf, pcore_count_gf, section
 from .tables import emit
 
 FALLBACK_ORDER = 40
 ORDER_ENV_VAR = "BLOCKHH_ORDER_DEFAULT"
 
 SERIES_NAMES = ("P", "Z", "Y", "HH1group", "Cs")
+FORMATS = ("table", "json", "csv")
+
+
+def _integer(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("%r is not an integer" % text) from None
 
 
 def _prime(text: str) -> int:
-    v = int(text)
+    v = _integer(text)
     try:
         _check_prime(v)
-    except ValueError:
-        raise argparse.ArgumentTypeError("%d is not prime" % v) from None
+    except ValueError as exc:  # the library's words only for the size limit
+        raise ValueError(str(exc) if v >= PRIME_LIMIT else "%d is not prime" % v) from None
     return v
 
 
 def _nonneg(text: str) -> int:
-    v = int(text)
+    v = _integer(text)
     if v < 0:
-        raise argparse.ArgumentTypeError("%d is negative" % v)
+        raise ValueError("%d is negative" % v)
     return v
 
 
 def _positive(text: str) -> int:
-    v = int(text)
+    v = _integer(text)
     if v < 1:
-        raise argparse.ArgumentTypeError("%d is not positive" % v)
+        raise ValueError("%d is not positive" % v)
     return v
 
 
@@ -110,19 +127,20 @@ def _series_for(name: str, p, order: int, s) -> Series:
     return section(pcore_count_gf(p, p * order + s), p, s)
 
 
-def cmd_series(args, parser, out) -> int:
+def cmd_series(args, out) -> int:
+    order = args.order if args.order is not None else default_order()
     if args.name == "P" and args.p is not None:
-        parser.error("argument --p: not meaningful for series 'P'")
+        usage_error("argument --p: not meaningful for series 'P'")
     if args.name != "P" and args.p is None:
-        parser.error("argument --p: required for series %r" % args.name)
+        usage_error("argument --p: required for series %r" % args.name)
     if args.name == "Cs":
         if args.s is None:
-            parser.error("argument --s: required for series 'Cs'")
+            usage_error("argument --s: required for series 'Cs'")
         if not 0 <= args.s < args.p:
-            parser.error("argument --s: %d out of range 0..%d" % (args.s, args.p - 1))
+            usage_error("argument --s: %d out of range 0..%d" % (args.s, args.p - 1))
     elif args.s is not None:
-        parser.error("argument --s: only meaningful for series 'Cs'")
-    coeffs = _series_for(args.name, args.p, args.order, args.s).coeffs
+        usage_error("argument --s: only meaningful for series 'Cs'")
+    coeffs = _series_for(args.name, args.p, order, args.s).coeffs
     for c in coeffs:  # every coefficient is checked before anything is written
         _int_coeff(c)
 
@@ -130,7 +148,7 @@ def cmd_series(args, parser, out) -> int:
         for n, c in enumerate(coeffs):
             yield {"exponent": n, "coefficient": int(c)}
 
-    params = {"name": args.name, "order": args.order}
+    params = {"name": args.name, "order": order}
     if args.p is not None:
         params["p"] = args.p
     if args.s is not None:
@@ -177,56 +195,46 @@ def cmd_oracle(args, out) -> int:
     return 0 if all(r["match"] for r in rows) else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="blockhh",
-        description="Exact dimension data of symmetric-group blocks in "
-        "characteristic p, with machine-verified series identities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+# The grammar (cmdline's format): subcommand, handler, help, options; an
+# option is (flag, converter, required, choices, default, hidden).
+GRAMMAR = (
+    ("blocks", cmd_blocks, "one row per block of kS_n", (
+        ("--p", _prime, True, None, None, False),
+        ("--n", _nonneg, True, None, None, False),
+        ("--format", str, False, FORMATS, "table", False),
+    )),
+    ("series", cmd_series, "coefficient table of a named series", (
+        ("--name", str, True, SERIES_NAMES, None, False),
+        ("--p", _prime, False, None, None, False),
+        ("--order", _positive, False, None, None, False),
+        ("--s", _nonneg, False, None, None, False),
+        ("--format", str, False, FORMATS, "table", False),
+    )),
+    ("verify", cmd_verify, "run the identity checks", (
+        ("--which", str, True, ("thm2", "thm3", "eq12", "all"), None, False),
+        ("--p", _prime, True, None, None, False),
+        ("--order", _positive, False, None, None, False),
+        ("--inject-fault", None, False, None, False, True),  # a bare switch
+    )),
+    ("oracle", cmd_oracle, "centralizer oracle vs series formula", (
+        ("--p", _prime, True, None, None, False),
+        ("--n-max", _nonneg, True, None, None, False),
+        ("--format", str, False, FORMATS, "table", False),
+    )),
+)
 
-    fmt = dict(choices=("table", "json", "csv"), default="table")
 
-    p_blocks = sub.add_parser("blocks", help="one row per block of kS_n")
-    p_blocks.add_argument("--p", type=_prime, required=True)
-    p_blocks.add_argument("--n", type=_nonneg, required=True)
-    p_blocks.add_argument("--format", **fmt)
-
-    p_series = sub.add_parser("series", help="coefficient table of a named series")
-    p_series.add_argument("--name", choices=SERIES_NAMES, required=True)
-    p_series.add_argument("--p", type=_prime)
-    p_series.add_argument("--order", type=_positive, default=None)
-    p_series.add_argument("--s", type=_nonneg, default=None)
-    p_series.add_argument("--format", **fmt)
-
-    p_verify = sub.add_parser("verify", help="run the identity checks")
-    p_verify.add_argument("--which", choices=("thm2", "thm3", "eq12", "all"), required=True)
-    p_verify.add_argument("--p", type=_prime, required=True)
-    p_verify.add_argument("--order", type=_positive, default=None)
-    p_verify.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
-
-    p_oracle = sub.add_parser("oracle", help="centralizer oracle vs series formula")
-    p_oracle.add_argument("--p", type=_prime, required=True)
-    p_oracle.add_argument("--n-max", type=_nonneg, required=True)
-    p_oracle.add_argument("--format", **fmt)
-
-    return parser
+def usage_error(message: str):
+    """Exit 2 with argparse's top-level usage line and ``message``."""
+    build_parser(GRAMMAR).error(message)
 
 
 def main(argv: Iterable[str] | None = None, out=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(list(argv) if argv is not None else None)
-    out = out if out is not None else sys.stdout
-    if args.command == "series" and args.order is None:
-        args.order = default_order()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parse_exact(GRAMMAR, argv) or build_parser(GRAMMAR).parse_args(argv)
+    run = next(handler for command, handler, *_ in GRAMMAR if command == args.command)
     try:
-        if args.command == "blocks":
-            return cmd_blocks(args, out)
-        if args.command == "series":
-            return cmd_series(args, parser, out)
-        if args.command == "verify":
-            return cmd_verify(args, out)
-        return cmd_oracle(args, out)
+        return run(args, out if out is not None else sys.stdout)
     except (ValueError, RuntimeError) as exc:
         # ValueError is a usage error; RuntimeError an arithmetic or output invariant that failed
         print("blockhh: error: %s" % exc, file=sys.stderr)

@@ -36,7 +36,7 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Optional
 
-from .blocks import dim_center, dim_hh1, principal_block
+from .blocks import _hh1_factor, dim_center, dim_hh1, principal_block
 from .partitions import EMPTY, rho, _check_prime
 from .rational import Polynomial, RationalFunction, expand, rational_fit
 from .record import Record
@@ -157,11 +157,13 @@ def _context(p: int, order: int, ctx: Optional[SeriesContext]) -> SeriesContext:
 def hh1_block_series(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Series:
     """Y(t): coefficient w is the HH^1 dimension of any weight-w block.
 
-    Y = t phi Z with the closed-form phi; Z is read from ``ctx`` when given.
+    The block formula, y_w = (2 if p = 2 else 1) * (z_0 + ... + z_(w-1)): the
+    HH^1 of a block is a sum of smaller centers.  fit_phi discovers phi from
+    it, and thm3 compares it with t phi Z.  Z is read from ``ctx`` when given.
     """
     z = truncate(_context(p, order, ctx).Z, order - 1)
-    phi = phi_r1(p)
-    return shift(series_mul_ratio(z, phi.num.coeffs, phi.den.coeffs), 1)
+    factor = _hh1_factor(p)
+    return Series(factor * partial for partial in accumulate(z.coeffs, initial=0))
 
 
 def hh1_group_series(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Series:
@@ -287,7 +289,7 @@ def verify_theorem2(
     guard = min(max_weight + 1, 12)
     if inject_fault:
         y = _bump(y, max(1, max_weight // 2))
-    factor = 2 if p == 2 else 1
+    factor = _hh1_factor(p)
 
     def comparisons():
         yield truncate(counts, guard), partition_gf(guard) ** p

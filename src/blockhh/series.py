@@ -23,7 +23,14 @@ from typing import Iterable, Sequence, Union
 Coeff = Union[int, "Fraction"]
 
 
+# Trial division is exact and needs no tables; below this bound it takes at
+# most 2^16 steps, and no p this large has any use here.
+PRIME_LIMIT = 1 << 32
+
+
 def _check_prime(p: int) -> None:
+    if p >= PRIME_LIMIT:
+        raise ValueError("p must be below 2^32, got %d" % p)
     if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
         raise ValueError("p must be prime, got %d" % p)
 

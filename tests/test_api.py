@@ -103,3 +103,23 @@ def test_only_arithmetic_and_output_invariants_raise_runtime_error():
             ):
                 raisers.add("%s.%s" % (path.stem, fn.name))
     assert raisers == {"series.euler_power", "cli._int_coeff", "rational._first_skew_exponent"}
+
+
+def test_command_line_compiles_below_the_largest_library_module():
+    # With no bytecode cache every launch compiles each module, and a launch
+    # that computes little (all of verify) peaks while compiling the largest
+    # one; the grammar table and its parsers must never be that module.
+    import tracemalloc
+
+    peaks = {}
+    for path in sorted(Path(blockhh.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        tracemalloc.start()
+        try:
+            compile(source, str(path), "exec")
+            peaks[path.stem] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    command_line = {"cli", "cmdline"}
+    library = max(peak for name, peak in peaks.items() if name not in command_line)
+    assert max(peaks[name] for name in command_line) < library, peaks

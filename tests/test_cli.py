@@ -117,6 +117,8 @@ def test_series_unknown_name_rejected():
         (["verify", "--which", "thm2", "--p", "2", "--order", "0"], "--order: 0 is not positive"),
         (["series", "--name", "P", "--order", "0"], "--order: 0 is not positive"),
         (["blocks", "--p", "2", "--n", "-1"], "--n: -1 is negative"),
+        (["blocks", "--p", "abc", "--n", "3"], "argument --p: 'abc' is not an integer"),
+        (["blocks", "--p", "3", "--n", "1.5"], "argument --n: '1.5' is not an integer"),
     ],
 )
 def test_out_of_range_numbers_are_usage_errors(capsys, argv, message):
@@ -142,6 +144,34 @@ def test_nonprime_p_rejected_with_diagnostic(capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "--p" in err and "9 is not prime" in err
+
+
+def test_huge_p_is_refused_before_any_trial_division():
+    import os
+    import subprocess
+
+    import blockhh
+
+    # 2^61 - 1 is prime: trial division to its square root would run for hours
+    src = os.path.dirname(os.path.dirname(blockhh.__file__))
+    argv = ["blocks", "--p", "2305843009213693951", "--n", "3"]
+    proc = subprocess.run([sys.executable, "-m", "blockhh.cli"] + argv, capture_output=True,
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.endswith(
+        "error: argument --p: p must be below 2^32, got 2305843009213693951\n")
+    assert "Traceback" not in proc.stderr
+
+
+def test_largest_prime_below_the_limit_is_accepted():
+    from blockhh.series import PRIME_LIMIT, _check_prime
+
+    _check_prime(4294967291)  # the largest prime below 2^32
+    with pytest.raises(ValueError, match="below 2\\^32"):
+        _check_prime(PRIME_LIMIT + 15)  # 2^32 + 15 is prime too
+    code, doc = run_json(["blocks", "--p", "4294967291", "--n", "3"])
+    assert code == 0
+    assert [(r["core"], r["weight"]) for r in doc["rows"]] == [("3", 0), ("2,1", 0), ("1,1,1", 0)]
 
 
 def test_verify_all_exit_zero():
@@ -365,13 +395,33 @@ def test_weight_one_check_of_thm3_fires(monkeypatch):
     from blockhh import hochschild as hh
     from blockhh.rational import Polynomial, RationalFunction
 
-    # Y is built from the patched closed form and the fit matches it, so only
-    # the weight-1 check sees y_1 = 1 where the weight-1 formula gives 2
+    # Y is built with factor 1, the fit finds 1/(1 - t) and the patched closed
+    # form agrees, so only the weight-1 check sees y_1 = 1 where it gives 2
     geometric = RationalFunction(Polynomial([1]), Polynomial([1, -1]))
+    monkeypatch.setattr(hh, "_hh1_factor", lambda p: 1)
     monkeypatch.setattr(hh, "phi_r1", lambda p: geometric)
     code, text = run(["verify", "--which", "thm3", "--p", "2", "--order", "30"])
     assert code == 1
     assert text == "thm3 (p=2, order=30): FAILS at t^1 (lhs=1, rhs=2)\nfitted phi = 1/(1 - t)\n"
+
+
+@pytest.mark.parametrize("p, lhs, rhs, phi", [(2, 3, 2, "3/(1 - t)"), (3, 2, 1, "2/(1 - t)")])
+def test_block_formula_factor_fault_fails_thm3_alone(monkeypatch, p, lhs, rhs, phi):
+    from blockhh import blocks, hochschild as hh
+
+    # dim_hh1, Y and thm2's partial sums share the factor, so they still agree
+    # and thm2 holds; thm3's weight-1 check and closed form see the fault
+    def wrong(p):
+        return (2 if p == 2 else 1) + 1
+
+    monkeypatch.setattr(blocks, "_hh1_factor", wrong)
+    monkeypatch.setattr(hh, "_hh1_factor", wrong)
+    code, text = run(["verify", "--which", "thm2", "--p", str(p), "--order", "30"])
+    assert (code, text) == (0, "thm2 (p=%d, order=15): holds\n" % p)
+    code, text = run(["verify", "--which", "thm3", "--p", str(p), "--order", "30"])
+    assert code == 1
+    assert text == "thm3 (p=%d, order=30): FAILS at t^1 (lhs=%d, rhs=%d)\nfitted phi = %s\n" % (
+        p, lhs, rhs, phi)
 
 
 def bump_kernel_in(monkeypatch, module, caller):
@@ -672,24 +722,32 @@ def test_cli_start_loads_no_unused_stdlib_modules():
         code = prelude + show
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout
-        return set(out.split())
+        return set(out.splitlines()[-1].split())  # help text, if any, comes first
 
     unused = {"dataclasses", "inspect", "logging", "json", "csv"}
     rational = {"fractions", "decimal", "numbers"}  # fractions brings the other two
+    usage = {"argparse", "gettext", "locale"}  # only for help and usage errors
     bare = loaded("")
     added = loaded("import blockhh.cli; ") - bare
     assert "blockhh.cli" in added
-    assert not added & (unused | rational)
+    assert not added & (unused | rational | usage)
 
     run_quietly = "import os; from blockhh import cli; cli.main(%r, out=open(os.devnull, 'w')); "
     integer_only = [["blocks", "--p", "3", "--n", "12"], ["oracle", "--p", "2", "--n-max", "10"]]
     integer_only += [["series", "--name", "P"], ["series", "--name", "Z", "--p", "3"],
+                     ["series", "--name", "Y", "--p", "3"],  # partial sums of Z
                      ["series", "--name", "HH1group", "--p", "3"],
                      ["series", "--name", "Cs", "--p", "3", "--s", "1"]]
     for argv in integer_only:
         added = loaded(run_quietly % (argv,)) - bare
-        assert not added & (unused | rational), argv
+        assert not added & (unused | rational | usage), argv
     # thm3's rational factor divides, so the deferred import runs
     verify = ["verify", "--which", "thm3", "--p", "2", "--order", "30"]
     added = loaded(run_quietly % (verify,)) - bare
-    assert rational <= added and not added & unused
+    assert rational <= added and not added & (unused | usage)
+    # help and a usage error go to argparse, which exits
+    exits = ("import os\nfrom blockhh import cli\n"
+             "try:\n    cli.main(%r, out=open(os.devnull, 'w'))\nexcept SystemExit:\n    pass\n")
+    for argv in (["-h"], ["blocks", "--p", "9", "--n", "2"]):
+        added = loaded(exits % (argv,)) - bare
+        assert usage <= added and not added & (unused | rational), argv
