@@ -4,12 +4,13 @@ Everything is computed twice where it matters: generating-function routes
 against combinatorial or group-theoretic routes, with all arithmetic exact.
 """
 
+import types as _types
+
 from .blocks import (
     BlockDescriptor,
     blocks_of,
     dim_center,
     dim_hh1,
-    make_block,
     principal_block,
     sylow_exponent,
 )
@@ -61,49 +62,5 @@ from .series import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlockDescriptor",
-    "CoreQuotient",
-    "EMPTY",
-    "Partition",
-    "Polynomial",
-    "RationalFunction",
-    "Series",
-    "VerificationReport",
-    "Z_series",
-    "beta_set",
-    "blocks_of",
-    "descend",
-    "dim_center",
-    "dim_hh1",
-    "expand",
-    "fit_phi",
-    "from_core_quotient",
-    "hh1_block_series",
-    "hh1_group_oracle",
-    "hh1_group_series",
-    "is_p_core",
-    "make_block",
-    "p_core",
-    "p_quotient",
-    "partition_from_beta",
-    "partition_gf",
-    "partitions_of",
-    "pcore_count_gf",
-    "phi_r1",
-    "principal_block",
-    "rational_fit",
-    "rho",
-    "section",
-    "series_add",
-    "series_inv",
-    "series_mul",
-    "shift",
-    "substitute_power",
-    "sylow_exponent",
-    "truncate",
-    "verify_block_decomposition",
-    "verify_theorem2",
-    "verify_theorem3",
-    "y1_formula",
-]
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _types.ModuleType))

@@ -17,15 +17,14 @@ Both read the count series Z = E(t)^(-p), whose t^w coefficient is
 z_w = rho(pw, empty); a caller listing many blocks passes Z in, built once.
 
 ``blocks_of`` checks p once, then filters candidates with ``_no_p_hook``;
-``BlockDescriptor`` keeps every one of its checks.
+each ``BlockDescriptor`` checks p, its weight and its core once more.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from .partitions import EMPTY, Partition, partitions_of
-from .partitions import _check_prime, _no_p_hook, _tuple_counts
+from .partitions import EMPTY, _check_prime, _no_p_hook, _tuple_counts, partitions_of
 from .record import Record
 from .series import Series
 
@@ -35,6 +34,11 @@ def sylow_exponent(p: int, m: int) -> int:
     _check_prime(p)
     if m < 0:
         raise ValueError("m must be nonnegative")
+    return _legendre(p, m)
+
+
+def _legendre(p: int, m: int) -> int:
+    """``sylow_exponent`` for a p already checked prime and m >= 0."""
     total = 0
     q = p
     while q <= m:
@@ -44,14 +48,14 @@ def sylow_exponent(p: int, m: int) -> int:
 
 
 class BlockDescriptor(Record):
-    """A block of kS_n: its p-core, weight, and defect-group order exponent.
+    """A block of kS_n: its prime, p-core and weight.
 
-    n and core are redundant given the weight, but carrying both makes
-    equality cheap and serialization stable; the constructor enforces the
-    tie |core| + p*weight = n and the Sylow defect exponent.
+    Everything else follows from these: n = |core| + p*weight, and the defect
+    groups are Sylow p-subgroups of S_(p*weight).  The constructor checks that
+    p is prime, the weight nonnegative and the core a p-core.
     """
 
-    __slots__ = ("p", "n", "core", "weight", "defect_order_exp")
+    __slots__ = ("p", "core", "weight")
 
     def __post_init__(self):
         _check_prime(self.p)
@@ -59,33 +63,20 @@ class BlockDescriptor(Record):
             raise ValueError("weight must be nonnegative")
         if not _no_p_hook(self.core, self.p):  # is_p_core, p checked above
             raise ValueError("core %r is not its own %d-core" % (self.core, self.p))
-        if self.core.size + self.p * self.weight != self.n:
-            raise ValueError(
-                "inconsistent block data: |core|=%d, p=%d, weight=%d, n=%d"
-                % (self.core.size, self.p, self.weight, self.n)
-            )
-        expected = sylow_exponent(self.p, self.p * self.weight)
-        if self.defect_order_exp != expected:
-            raise ValueError(
-                "defect order exponent %d does not match Sylow exponent %d"
-                % (self.defect_order_exp, expected)
-            )
 
+    @property
+    def n(self) -> int:
+        return self.core.size + self.p * self.weight
 
-def make_block(p: int, core: Partition, weight: int) -> BlockDescriptor:
-    """Descriptor for the weight-w block of kS_(|core|+pw) with the given core."""
-    return BlockDescriptor(
-        p=p,
-        n=core.size + p * weight,
-        core=core,
-        weight=weight,
-        defect_order_exp=sylow_exponent(p, p * weight),
-    )
+    @property
+    def defect_order_exp(self) -> int:
+        """The defect group order exponent: the p-adic valuation of (p*weight)!."""
+        return _legendre(self.p, self.p * self.weight)
 
 
 def principal_block(p: int, weight: int) -> BlockDescriptor:
     """The principal block of kS_{p*weight}: empty core, the given weight."""
-    return make_block(p, EMPTY, weight)
+    return BlockDescriptor(p, EMPTY, weight)
 
 
 def blocks_of(p: int, n: int) -> list[BlockDescriptor]:
@@ -101,7 +92,7 @@ def blocks_of(p: int, n: int) -> list[BlockDescriptor]:
     for w in range(n // p, -1, -1):
         for lam in partitions_of(n - p * w):
             if _no_p_hook(lam, p):  # is_p_core, with p checked once above
-                out.append(make_block(p, lam, w))
+                out.append(BlockDescriptor(p, lam, w))
     return out
 
 

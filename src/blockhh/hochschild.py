@@ -60,11 +60,11 @@ Discrepancy = tuple[int, Coeff, Coeff]
 class VerificationReport(Record):
     """Outcome of one identity check: all-or-nothing, first mismatch recorded."""
 
-    __slots__ = ("identity_name", "p", "order", "holds", "first_discrepancy")
+    __slots__ = ("identity_name", "p", "order", "first_discrepancy")
 
-    def __post_init__(self):
-        if self.holds != (self.first_discrepancy is None):
-            raise ValueError("holds must mean exactly: no discrepancy recorded")
+    @property
+    def holds(self) -> bool:
+        return self.first_discrepancy is None
 
     def __str__(self) -> str:
         head = "%s (p=%d, order=%d): " % (self.identity_name, self.p, self.order)
@@ -79,7 +79,7 @@ def Z_series(p: int, order: int) -> Series:
 
     z_w = rho(pw, empty) counts p-tuples of partitions of total size w, so
     Z = P^p = E(t)^(-p), from the Euler-product kernel.  thm2 compares its
-    own count series with P multiplied by itself p times on a short prefix.
+    own count series with P ** p, by squaring, on a short prefix.
     """
     _check_prime(p)
     return euler_power(-p, order)
@@ -176,7 +176,8 @@ def hh1_group_series(p: int, order: int, ctx: Optional[SeriesContext] = None) ->
     """
     gf = truncate(_context(p, order, ctx).P, order)
     lead = 2 if p == 2 else 1
-    return series_mul_ratio(gf, (0,) * p + (lead,), (1,) + (0,) * (p - 1) + (-1,))
+    k = min(p, order)  # t^p is 0 to the order when p >= order
+    return series_mul_ratio(gf, (0,) * k + (lead,), (1,) + (0,) * (k - 1) + (-1,))
 
 
 def theorem3_min_order(p: int) -> int:
@@ -331,4 +332,4 @@ def _verdict(name: str, p: int, order: int, comparisons: Iterable[tuple]) -> Ver
     """Report the first comparison, in the listed order, that finds a discrepancy.
     Each is a tuple of _first_diff's arguments, drawn only once those before agree."""
     diff = next(filter(None, (_first_diff(*c) for c in comparisons)), None)
-    return VerificationReport(name, p, order, diff is None, diff)
+    return VerificationReport(name, p, order, diff)

@@ -74,21 +74,20 @@ EMPTY = Partition(())
 
 
 class CoreQuotient(Record):
-    """A p-core together with the ordered p-tuple of runner partitions.
+    """A p-core and the ordered tuple of its p runner partitions, p = len(quotient).
 
     The partition it came from has size |core| + p * (total quotient size).
     """
 
-    __slots__ = ("core", "quotient", "p")
+    __slots__ = ("core", "quotient")
 
     def __post_init__(self):
-        if len(self.quotient) != self.p:
-            raise ValueError(
-                "quotient must have exactly %d components, got %d"
-                % (self.p, len(self.quotient))
-            )
         if p_core(self.core, self.p) != self.core:
             raise ValueError("core %r is not its own %d-core" % (self.core, self.p))
+
+    @property
+    def p(self) -> int:
+        return len(self.quotient)
 
     @property
     def weight(self) -> int:
@@ -191,7 +190,7 @@ def p_quotient(lam: Partition, p: int) -> CoreQuotient:
     quotient = tuple(
         partition_from_beta([(b - i) // p for b in beta if b % p == i]) for i in range(p)
     )
-    return CoreQuotient(core=p_core(lam, p), quotient=quotient, p=p)
+    return CoreQuotient(core=p_core(lam, p), quotient=quotient)
 
 
 def from_core_quotient(cq: CoreQuotient) -> Partition:

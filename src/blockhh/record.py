@@ -18,6 +18,9 @@ class Record:
             object.__setattr__(self, name, values[name])
         self.__post_init__()
 
+    def __post_init__(self):
+        """Checks of the field values; a record with none keeps this one."""
+
     def __setattr__(self, name, value):
         raise AttributeError("cannot assign to field %r" % name)
 

@@ -102,9 +102,13 @@ class Series:
             raise ValueError("negative power; invert explicitly with series_inv")
         if self.order == 0:
             return Series([])
-        out = one(self.order)
-        for _ in range(k):
-            out = series_mul(out, self)
+        out, square = one(self.order), self
+        while k:  # square and multiply: at most 2 * k.bit_length() products
+            if k & 1:
+                out = series_mul(out, square)
+            k >>= 1
+            if k:
+                square = series_mul(square, square)
         return out
 
     def __repr__(self) -> str:

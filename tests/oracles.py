@@ -12,10 +12,10 @@ own enumeration (ZS1, abacus cores) and are tested against the routes above.
 ``CycleType`` and ``hom_to_Fp_dim``, also formerly public, are the per-class
 definition that the package's run-length oracle loop is tested against.
 
-The next four are the package's former dense loops for the Cauchy product,
-expansion, inversion and the full-system rational fit, kept unchanged as
-ground truth for the sparse recurrence ``series_mul_ratio`` and the square
-Pade solve.
+The next five are the package's former loops for the Cauchy product, the
+power, expansion, inversion and the full-system rational fit, kept unchanged
+as ground truth for the sparse recurrence ``series_mul_ratio``, square and
+multiply, and the square Pade solve.
 
 The last, ``render_reference``, is the CLI's former renderer, which built
 the whole document in memory before writing it; the streaming
@@ -30,11 +30,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from blockhh.blocks import BlockDescriptor, make_block
+from blockhh.blocks import BlockDescriptor
 from blockhh.partitions import Partition, _check_prime, is_p_core, p_core, partitions_of
 from blockhh.rational import Polynomial, RationalFunction, _solve_exact
 from blockhh.record import Record
-from blockhh.series import Coeff, Series, _coeff
+from blockhh.series import Coeff, Series, _coeff, one, series_mul
 from blockhh.tables import canonical_json
 
 
@@ -207,7 +207,7 @@ def dim_center_oracle(n: int) -> int:
 def block_of_partition(lam: Partition, p: int) -> BlockDescriptor:
     """The block of kS_(|lam|) containing the character labeled by lam."""
     core = p_core(lam, p)
-    return make_block(p, core, (lam.size - core.size) // p)
+    return BlockDescriptor(p, core, (lam.size - core.size) // p)
 
 
 class CycleType(Record):
@@ -252,6 +252,16 @@ def series_mul_reference(a: Series, b: Series) -> Series:
         for j in range(n - i):
             out[i + j] += ai * bc[j]
     return Series(out)
+
+
+def series_pow_reference(a: Series, k: int) -> Series:
+    """a ** k for k >= 0 by k successive products, to ``a.order``."""
+    if a.order == 0:
+        return Series([])
+    out = one(a.order)
+    for _ in range(k):
+        out = series_mul(out, a)
+    return out
 
 
 def expand_reference(f: RationalFunction, order: int) -> Series:

@@ -5,15 +5,16 @@ from blockhh.blocks import (
     blocks_of,
     dim_center,
     dim_hh1,
-    make_block,
     principal_block,
     sylow_exponent,
 )
 from blockhh.partitions import (
     EMPTY,
     Partition,
+    _check_prime,
     is_p_core,
     p_core,
+    p_quotient,
     partitions_of,
     rho,
 )
@@ -33,13 +34,40 @@ def test_sylow_exponent_values():
 
 def test_descriptor_invariants_enforced():
     with pytest.raises(ValueError):
-        BlockDescriptor(p=2, n=3, core=EMPTY, weight=1, defect_order_exp=1)
+        BlockDescriptor(2, Partition((2,)), 1)  # (2) is not a 2-core
     with pytest.raises(ValueError):
-        BlockDescriptor(p=2, n=2, core=EMPTY, weight=1, defect_order_exp=5)
-    with pytest.raises(ValueError):
-        make_block(2, Partition((2,)), 1)  # (2) is not a 2-core
-    b = make_block(2, EMPTY, 2)
+        BlockDescriptor(2, EMPTY, -1)
+    b = BlockDescriptor(2, EMPTY, 2)
     assert (b.n, b.defect_order_exp) == (4, sylow_exponent(2, 4))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_derived_block_data(p):
+    for n in range(21):
+        for b in blocks_of(p, n):
+            assert b.n == n == b.core.size + p * b.weight
+            assert b.defect_order_exp == sylow_exponent(p, p * b.weight)
+        for lam in partitions_of(n):
+            assert p_quotient(lam, p).p == p
+
+
+def test_one_prime_check_per_block(monkeypatch):
+    import blockhh.blocks
+
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return _check_prime(p)
+
+    monkeypatch.setattr(blockhh.blocks, "_check_prime", counting)
+    for p, n in ((2, 10), (3, 12), (5, 7)):
+        calls.clear()
+        result = blocks_of(p, n)
+        assert len(calls) == 1 + len(result)
+        calls.clear()
+        principal_block(p, 3)
+        assert len(calls) == 1
 
 
 def test_blocks_of_s0():
@@ -93,7 +121,7 @@ def test_core_check_that_accepts_a_non_core_is_caught(monkeypatch):
     monkeypatch.setattr(blockhh.blocks, "_no_p_hook", faulty)
     # the descriptor now takes the non-core, blocks_of lists it at n = 2, and
     # rho's own p_core check refuses it
-    assert make_block(2, non_core, 0).core == non_core
+    assert BlockDescriptor(2, non_core, 0).core == non_core
     assert non_core in [b.core for b in blocks_of(2, 2)]
     with pytest.raises(ValueError, match="core"):
         _check_blocks_partition_the_partitions(2, 16)
@@ -128,7 +156,7 @@ def test_same_block_iff_same_core(p):
 
 def test_dim_center_values():
     assert dim_center(principal_block(2, 0)) == 1
-    assert dim_center(make_block(3, Partition((1,)), 0)) == 1
+    assert dim_center(BlockDescriptor(3, Partition((1,)), 0)) == 1
     assert dim_center(principal_block(2, 1)) == 2
     # partitions of 6 with empty 3-core, by strip removal
     brute = oracles.partitions_with_core(6, (), 3)
@@ -174,7 +202,7 @@ def test_positive_weight_blocks_have_positive_hh1(p):
     ]
     for core in cores:
         for w in range(1, (30 - core.size) // p + 1):
-            assert dim_hh1(make_block(p, core, w)) >= 1
+            assert dim_hh1(BlockDescriptor(p, core, w)) >= 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])

@@ -163,6 +163,27 @@ def test_huge_p_is_refused_before_any_trial_division():
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("argv,column,length", [
+    (["oracle", "--p", "4294967291", "--n-max", "12"], "formula", 13),
+    (["series", "--name", "HH1group", "--p", "4294967291", "--order", "5"], "coefficient", 5),
+])
+def test_group_series_at_the_largest_prime_is_zero_to_the_order(argv, column, length):
+    import os
+    import subprocess
+
+    import blockhh
+
+    # t^p/(1 - t^p) vanishes below t^p: no coefficient tuple of length p is built
+    src = os.path.dirname(os.path.dirname(blockhh.__file__))
+    proc = subprocess.run([sys.executable, "-m", "blockhh.cli"] + argv + ["--format", "json"],
+                          capture_output=True, text=True, timeout=60,
+                          env=dict(os.environ, PYTHONPATH=src))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    rows = json.loads(proc.stdout)["rows"]
+    assert len(rows) == length
+    assert all(row[column] == 0 and row.get("match", True) for row in rows)
+
+
 def test_largest_prime_below_the_limit_is_accepted():
     from blockhh.series import PRIME_LIMIT, _check_prime
 

@@ -5,7 +5,6 @@ import pytest
 
 from blockhh.hochschild import (
     SeriesContext,
-    VerificationReport,
     Z_series,
     fit_phi,
     hh1_block_series,
@@ -232,13 +231,6 @@ def test_descend_well_defined_on_group_data():
         Polynomial([0, 0, 2, 0, -2]), Polynomial([1, 0, -2, 0, 1])
     )  # same function, scaled by (1-t^2)/(1-t^2)
     assert descend(f1, 2) == descend(f2, 2)
-
-
-def test_report_invariant_enforced():
-    with pytest.raises(ValueError):
-        VerificationReport("x", 2, 10, holds=True, first_discrepancy=(1, 2, 3))
-    with pytest.raises(ValueError):
-        VerificationReport("x", 2, 10, holds=False, first_discrepancy=None)
 
 
 def test_report_str_rendering():

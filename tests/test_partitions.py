@@ -171,7 +171,7 @@ def test_two_partitions_of_two_have_distinct_quotients():
 
 def test_from_core_quotient_of_trivial():
     for p in (2, 3, 5):
-        cq = CoreQuotient(core=EMPTY, quotient=(EMPTY,) * p, p=p)
+        cq = CoreQuotient(core=EMPTY, quotient=(EMPTY,) * p)
         assert from_core_quotient(cq) == EMPTY
 
 
@@ -196,7 +196,7 @@ def test_roundtrip_core_quotient_to_partition(p):
     ]
     for core in cores:
         for quotient in quotients:
-            cq = CoreQuotient(core=core, quotient=quotient, p=p)
+            cq = CoreQuotient(core=core, quotient=quotient)
             back = p_quotient(_rechecked(from_core_quotient(cq)), p)
             _rechecked(back.core, *back.quotient)
             assert back == cq
@@ -223,7 +223,7 @@ def test_roundtrip_property(lam, p):
 
 def test_core_quotient_rejects_non_core():
     with pytest.raises(ValueError, match="core"):
-        CoreQuotient(core=Partition((2,)), quotient=(EMPTY, EMPTY), p=2)
+        CoreQuotient(core=Partition((2,)), quotient=(EMPTY, EMPTY))
 
 
 def test_rho_trivial_and_small():

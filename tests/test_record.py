@@ -14,15 +14,15 @@ from oracles import CycleType
 RECORDS = [
     (
         CoreQuotient,
-        {"core": EMPTY, "quotient": (Partition((2,)), EMPTY), "p": 2},
-        "CoreQuotient(core=Partition(()), quotient=(Partition((2,)), Partition(())), p=2)",
-        {"core": Partition((1,)), "quotient": (EMPTY, EMPTY), "p": 2},
+        {"core": EMPTY, "quotient": (Partition((2,)), EMPTY)},
+        "CoreQuotient(core=Partition(()), quotient=(Partition((2,)), Partition(())))",
+        {"core": Partition((1,)), "quotient": (EMPTY, EMPTY)},
     ),
     (
         BlockDescriptor,
-        {"p": 2, "n": 2, "core": EMPTY, "weight": 1, "defect_order_exp": 1},
-        "BlockDescriptor(p=2, n=2, core=Partition(()), weight=1, defect_order_exp=1)",
-        {"p": 3, "n": 3, "core": EMPTY, "weight": 1, "defect_order_exp": 1},
+        {"p": 2, "core": EMPTY, "weight": 1},
+        "BlockDescriptor(p=2, core=Partition(()), weight=1)",
+        {"p": 3, "core": EMPTY, "weight": 1},
     ),
     (
         CycleType,
@@ -32,34 +32,28 @@ RECORDS = [
     ),
     (
         VerificationReport,
-        {"identity_name": "thm2", "p": 2, "order": 5, "holds": False,
-         "first_discrepancy": (3, 4, 5)},
-        "VerificationReport(identity_name='thm2', p=2, order=5, holds=False, "
-        "first_discrepancy=(3, 4, 5))",
-        {"identity_name": "thm2", "p": 2, "order": 5, "holds": True,
-         "first_discrepancy": None},
+        {"identity_name": "thm2", "p": 2, "order": 5, "first_discrepancy": (3, 4, 5)},
+        "VerificationReport(identity_name='thm2', p=2, order=5, first_discrepancy=(3, 4, 5))",
+        {"identity_name": "thm2", "p": 2, "order": 5, "first_discrepancy": None},
     ),
 ]
 
 IDS = [r[0].__name__ for r in RECORDS]
 
-# every ValueError the records raise, with its message
+# every ValueError the records raise, with its message; a CoreQuotient's p is
+# its number of components, and VerificationReport has no check
 INVALID = [
-    (CoreQuotient, (EMPTY, (EMPTY,), 2), r"quotient must have exactly 2 components, got 1"),
-    (CoreQuotient, (Partition((2,)), (EMPTY, EMPTY), 2),
+    (CoreQuotient, (EMPTY, (EMPTY,) * 4), r"p must be prime, got 4"),
+    (CoreQuotient, (Partition((2,)), (EMPTY, EMPTY)),
      r"core Partition\(\(2,\)\) is not its own 2-core"),
-    (BlockDescriptor, (4, 4, EMPTY, 1, 0), r"p must be prime, got 4"),
-    (BlockDescriptor, (2, 0, EMPTY, -1, 0), r"weight must be nonnegative"),
-    (BlockDescriptor, (2, 2, Partition((2,)), 0, 0),
+    (BlockDescriptor, (4, EMPTY, 1), r"p must be prime, got 4"),
+    (BlockDescriptor, (2, EMPTY, -1), r"weight must be nonnegative"),
+    (BlockDescriptor, (2, Partition((2,)), 0),
      r"core Partition\(\(2,\)\) is not its own 2-core"),
-    (BlockDescriptor, (2, 3, EMPTY, 1, 1),
-     r"inconsistent block data: \|core\|=0, p=2, weight=1, n=3"),
-    (BlockDescriptor, (2, 2, EMPTY, 1, 5),
-     r"defect order exponent 5 does not match Sylow exponent 1"),
+    (BlockDescriptor, (1 << 32, EMPTY, 0), r"p must be below 2\^32"),
+    (CoreQuotient, (EMPTY, ()), r"p must be prime, got 0"),
     (CycleType, (((2, 0),),), r"cycle lengths and multiplicities must be positive"),
     (CycleType, (((3, 1), (2, 1)),), r"sorted by distinct cycle length"),
-    (VerificationReport, ("x", 2, 10, True, (1, 2, 3)), r"holds must mean exactly"),
-    (VerificationReport, ("x", 2, 10, False, None), r"holds must mean exactly"),
 ]
 
 

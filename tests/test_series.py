@@ -378,6 +378,36 @@ def test_power_guards():
         Series([1, 1]) ** -1
 
 
+@pytest.mark.parametrize("a", [
+    Series([1, 1, 0, 0, 0, 0, 0, 0]),
+    Series([2, -1, 3, 0, 5]),
+    Series([Fraction(1, 2), 0, Fraction(-3, 4), 1]),
+    Series([0, 1, 1]),
+    Series([7]),
+    partition_gf(12),
+])
+def test_power_matches_repeated_products(a):
+    for k in range(41):
+        assert a ** k == oracles.series_pow_reference(a, k), k
+
+
+def test_power_squares_and_multiplies(monkeypatch):
+    import blockhh.series
+
+    calls = []
+
+    def counting(a, b):
+        calls.append(None)
+        return series_mul(a, b)
+
+    monkeypatch.setattr(blockhh.series, "series_mul", counting)
+    a = partition_gf(12)
+    for k in (0, 1, 2, 3, 7, 8, 31, 1000003):
+        calls.clear()
+        a ** k
+        assert len(calls) <= 2 * k.bit_length(), k
+
+
 @pytest.mark.parametrize(
     "operation, args, message",
     [
