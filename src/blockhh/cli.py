@@ -124,7 +124,7 @@ def _series_for(name: str, p, order: int, s) -> Series:
         return hh.hh1_block_series(p, order)
     if name == "HH1group":
         return hh.hh1_group_series(p, order)
-    return section(pcore_count_gf(p, p * order + s), p, s)
+    return section(pcore_count_gf(p, p * (order - 1) + s + 1), p, s)  # to t^(p(order-1)+s)
 
 
 def cmd_series(args, out) -> int:
@@ -196,30 +196,30 @@ def cmd_oracle(args, out) -> int:
 
 
 # The grammar (cmdline's format): subcommand, handler, help, options; an
-# option is (flag, converter, required, choices, default, hidden).
+# option is (flag, converter, required, choices, default).
 GRAMMAR = (
     ("blocks", cmd_blocks, "one row per block of kS_n", (
-        ("--p", _prime, True, None, None, False),
-        ("--n", _nonneg, True, None, None, False),
-        ("--format", str, False, FORMATS, "table", False),
+        ("--p", _prime, True, None, None),
+        ("--n", _nonneg, True, None, None),
+        ("--format", str, False, FORMATS, "table"),
     )),
     ("series", cmd_series, "coefficient table of a named series", (
-        ("--name", str, True, SERIES_NAMES, None, False),
-        ("--p", _prime, False, None, None, False),
-        ("--order", _positive, False, None, None, False),
-        ("--s", _nonneg, False, None, None, False),
-        ("--format", str, False, FORMATS, "table", False),
+        ("--name", str, True, SERIES_NAMES, None),
+        ("--p", _prime, False, None, None),
+        ("--order", _positive, False, None, None),
+        ("--s", _nonneg, False, None, None),
+        ("--format", str, False, FORMATS, "table"),
     )),
     ("verify", cmd_verify, "run the identity checks", (
-        ("--which", str, True, ("thm2", "thm3", "eq12", "all"), None, False),
-        ("--p", _prime, True, None, None, False),
-        ("--order", _positive, False, None, None, False),
-        ("--inject-fault", None, False, None, False, True),  # a bare switch
+        ("--which", str, True, ("thm2", "thm3", "eq12", "all"), None),
+        ("--p", _prime, True, None, None),
+        ("--order", _positive, False, None, None),
+        ("--inject-fault", None, False, None, False),  # a bare switch
     )),
     ("oracle", cmd_oracle, "centralizer oracle vs series formula", (
-        ("--p", _prime, True, None, None, False),
-        ("--n-max", _nonneg, True, None, None, False),
-        ("--format", str, False, FORMATS, "table", False),
+        ("--p", _prime, True, None, None),
+        ("--n-max", _nonneg, True, None, None),
+        ("--format", str, False, FORMATS, "table"),
     )),
 )
 

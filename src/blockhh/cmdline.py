@@ -1,10 +1,11 @@
 """The command line's two parsers, both read from one grammar table.
 
 A grammar is a tuple of subcommands, each (name, handler, help, options), and
-an option is (flag, converter, required, choices, default, hidden), listed in
-the order argparse shows them; an option whose default is False is a bare
-switch that stores True.  A converter takes the option's text and returns its
-value, or raises ValueError with a message that names the text.
+an option is (flag, converter, required, choices, default), listed in the
+order argparse shows them; an option whose default is False is a bare switch
+that stores True, and is left out of help.  A converter takes the option's
+text and returns its value, or raises ValueError with a message that names
+the text.
 
 ``parse_exact`` reads a command line only in the exact forms and returns None
 for anything else; ``build_parser`` builds argparse's parser of the same
@@ -45,7 +46,7 @@ def parse_exact(grammar, argv: list[str]) -> Optional[SimpleNamespace]:
         flag, eq, text = word.partition("=")
         if flag not in spec:
             return None
-        _, convert, _, choices, default, _ = spec[flag]
+        _, convert, _, choices, default = spec[flag]
         if default is False:
             if eq:
                 return None
@@ -65,7 +66,7 @@ def parse_exact(grammar, argv: list[str]) -> Optional[SimpleNamespace]:
     if any(required and flag not in given for flag, _, required, *_ in options):
         return None
     names = {flag[2:].replace("-", "_"): given.get(flag, default)
-             for flag, _, _, _, default, _ in options}
+             for flag, _, _, _, default in options}
     return SimpleNamespace(command=argv[0], **names)
 
 
@@ -87,11 +88,10 @@ def build_parser(grammar):
     sub = parser.add_subparsers(dest="command", required=True)
     for name, _, help_text, options in grammar:
         add = sub.add_parser(name, help=help_text).add_argument
-        for flag, convert, required, choices, default, hidden in options:
-            shown = argparse.SUPPRESS if hidden else None
+        for flag, convert, required, choices, default in options:
             if default is False:
-                add(flag, action="store_true", help=shown)
+                add(flag, action="store_true", help=argparse.SUPPRESS)
             else:
                 add(flag, type=checked(convert), required=required, choices=choices,
-                    default=default, help=shown)
+                    default=default)
     return parser

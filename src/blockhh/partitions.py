@@ -10,10 +10,12 @@ then:
 * reading each runner's bead rows as a beta-set of its own gives the p-tuple
   of quotient partitions.
 
-Runner convention (fixed so round trips are exact): the beta-set length is
-always normalized to a multiple of p, runners are indexed by residue, and the
-bead at abacus row r of runner i carries beta value r*p + i.  Other labeling
-conventions permute the quotient tuple; all yield the same counts.
+Runner convention (fixed so round trips are exact): a quotient's beta-set
+length is normalized to a multiple of p, runners are indexed by residue, and
+the bead at abacus row r of runner i carries beta value r*p + i.  Other
+labeling conventions permute the quotient tuple; all yield the same counts.
+The core does not depend on the beta-set length, so ``p_core`` reads the one
+of length len(parts).
 
 ``partitions_of`` is the iterative ZS1 generator (Zoghbi and Stojmenovic,
 1998).  ``is_p_core`` is the no-p-hook test (James and Kerber, 2.7): no bead
@@ -162,10 +164,11 @@ def partition_from_beta(beta: Sequence[int]) -> Partition:
     return Partition(parts)  # the public check rejects the non-integer part
 
 
-def _runner_counts(beta: Sequence[int], p: int) -> list[int]:
-    counts = [0] * p
+def _runner_counts(beta: Sequence[int], p: int) -> dict[int, int]:
+    """Beads per runner, over the residues that occur."""
+    counts: dict[int, int] = {}
     for b in beta:
-        counts[b % p] += 1
+        counts[b % p] = counts.get(b % p, 0) + 1
     return counts
 
 
@@ -174,13 +177,13 @@ def p_core(lam: Partition, p: int) -> Partition:
 
     Equivalent to removing rim p-hooks until none remain; the abacus makes
     the independence of removal order obvious, since only the number of beads
-    per runner survives.
+    per runner survives.  The beta-set has length len(parts) and only the
+    runners that hold a bead are visited, so the cost follows the partition,
+    not p.
     """
     _check_prime(p)
-    L = _normalized_length(len(lam.parts), p)
-    counts = _runner_counts(beta_set(lam, L), p)
-    pushed = [r * p + i for i in range(p) for r in range(counts[i])]
-    return partition_from_beta(pushed)
+    counts = _runner_counts(beta_set(lam, len(lam.parts)), p)
+    return partition_from_beta([r * p + i for i, c in counts.items() for r in range(c)])
 
 
 def p_quotient(lam: Partition, p: int) -> CoreQuotient:
@@ -201,7 +204,7 @@ def from_core_quotient(cq: CoreQuotient) -> Partition:
     counts = _runner_counts(beta_set(cq.core, L), p)
     beta = []
     for i in range(p):
-        rows = beta_set(cq.quotient[i], counts[i])
+        rows = beta_set(cq.quotient[i], counts.get(i, 0))
         beta.extend(r * p + i for r in rows)
     return partition_from_beta(beta)
 

@@ -2,9 +2,9 @@
 
 Provides power-series expansion at 0, reconstruction of a rational function
 from a series prefix (an exact Pade-style fit, solved over the rationals with
-no tolerances), and the constructive descent g(t) from f(t) = g(t^m): the
-m-sections of numerator and denominator already exhibit g, and a polynomial
-cross-multiplication identity certifies the answer exactly.
+no tolerances), and the descent g(t) from f(t) = g(t^m): f's canonical pair
+is unique, so it is a pair in t^m exactly when f is a series in t^m, and its
+0-th m-sections are g.
 
 Every division goes through ``series._inverse``, so ``fractions`` loads with
 the first one: coefficients stay ints until a quotient needs a ``Fraction``.
@@ -146,8 +146,7 @@ class RationalFunction:
         g = gcd_poly(num, den)
         num, _ = divmod_poly(num, g)
         den, _ = divmod_poly(den, g)
-        pivot = den(0) if den(0) != 0 else den.coeffs[-1]
-        inv = _inverse(pivot)
+        inv = _inverse(den.coeffs[0] or den.coeffs[-1])
         self.num = num.scale(inv)
         self.den = den.scale(inv)
 
@@ -257,52 +256,25 @@ def _solve_exact(
 def descend(f: RationalFunction, m: int) -> RationalFunction:
     """Given f whose expansion is a series in t^m, return g with g(t^m) = f(t).
 
-    Writes numerator and denominator in m-section form, picks the smallest
-    residue s whose denominator section is nonzero, and returns the section
-    quotient.  The candidate is certified by the exact polynomial identity
-    num * den_s(t^m) == den * num_s(t^m), which holds if and only if f really
-    is a series in t^m; on failure the offending exponent is located and
-    reported.
+    f is a series in t^m exactly when f(zt) = f(t) for every m-th root of
+    unity z.  The pair (num(zt), den(zt)) is reduced with constant term 1 in
+    the denominator, like f's own canonical pair, so by uniqueness that holds
+    exactly when num and den have nonzero coefficients only at multiples of
+    m; g is then the quotient of their 0-th m-sections.  Otherwise the first
+    exponent of the expansion off the multiples of m is reported.
     """
     if m < 1:
         raise ValueError("descent modulus must be >= 1, got %d" % m)
-    if f.den(0) == 0:
+    if f.den.coeffs[0] == 0:
         raise ValueError("denominator vanishes at 0: no power-series expansion")
-    s = next(s for s in range(m) if not f.den.section(m, s).is_zero)
-    g = _section_quotient(f.num, f.den, m, s)
-    if g is None:
-        e = _first_skew_exponent(f, m)
+    if any(c for poly in (f.num, f.den) for n, c in enumerate(poly.coeffs) if n % m):
+        # A nonzero m-section of f shows a nonzero coefficient no later than
+        # deg(num) + (m-1)*deg(den): the section's numerator over the common
+        # denominator prod over m-th roots of unity has at most that degree.
+        bound = max(f.num.degree, 0) + (m - 1) * f.den.degree + 1
+        e = next(n for n, c in enumerate(expand(f, bound).coeffs) if n % m and c)
         raise ValueError(
             "expansion has nonzero coefficient at exponent %d, not divisible by %d"
             % (e, m)
         )
-    return g
-
-
-def _section_quotient(
-    num: Polynomial, den: Polynomial, m: int, s: int
-) -> Optional[RationalFunction]:
-    """Certified section quotient of a raw polynomial pair at residue s.
-
-    None when the denominator section vanishes or the cross-multiplication
-    certificate fails.  Every residue whose denominator section is nonzero
-    yields the same canonical quotient when num/den is a series in t^m.
-    """
-    den_s = den.section(m, s)
-    if den_s.is_zero:
-        return None
-    num_s = num.section(m, s)
-    if num * den_s.substitute_power(m) != den * num_s.substitute_power(m):
-        return None
-    return RationalFunction(num_s, den_s)
-
-
-def _first_skew_exponent(f: RationalFunction, m: int) -> int:
-    # A nonzero m-section of f shows a nonzero coefficient no later than
-    # deg(num) + (m-1)*deg(den): the section's numerator over the common
-    # denominator prod over m-th roots of unity has at most that degree.
-    bound = max(f.num.degree, 0) + (m - 1) * max(f.den.degree, 0) + 1
-    for n, c in enumerate(expand(f, bound).coeffs):
-        if n % m != 0 and c != 0:
-            return n
-    raise RuntimeError("section certificate failed but no skew exponent found")
+    return RationalFunction(f.num.section(m, 0), f.den.section(m, 0))

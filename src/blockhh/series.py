@@ -275,8 +275,9 @@ def pcore_count_gf(p: int, order: int) -> Series:
     test suite enumerates the combinatorial definition against it.
     """
     _check_prime(p)
-    lifted = truncate(substitute_power(euler_power(p, -(-order // p)), p), order)
+    lifted = [0] * order  # E(t^p)^p below t^order, never p entries for order < p
+    lifted[::p] = euler_power(p, -(-order // p)).coeffs
     e = [1] + [0] * (order - 1)
     for k, c in _pentagonal(order):
         e[k] = c
-    return series_mul_ratio(lifted, (1,), e)
+    return series_mul_ratio(Series._trusted(tuple(lifted)), (1,), e)

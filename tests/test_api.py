@@ -102,7 +102,7 @@ def test_only_arithmetic_and_output_invariants_raise_runtime_error():
                 for node in ast.walk(fn)
             ):
                 raisers.add("%s.%s" % (path.stem, fn.name))
-    assert raisers == {"series.euler_power", "cli._int_coeff", "rational._first_skew_exponent"}
+    assert raisers == {"series.euler_power", "cli._int_coeff"}
 
 
 def test_command_line_compiles_below_the_largest_library_module():

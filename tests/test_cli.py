@@ -146,17 +146,21 @@ def test_nonprime_p_rejected_with_diagnostic(capsys):
     assert "--p" in err and "9 is not prime" in err
 
 
-def test_huge_p_is_refused_before_any_trial_division():
+def launch(argv):
+    """A fresh ``python -m blockhh.cli`` process on ``argv``, given at most 60 s."""
     import os
     import subprocess
 
     import blockhh
 
-    # 2^61 - 1 is prime: trial division to its square root would run for hours
     src = os.path.dirname(os.path.dirname(blockhh.__file__))
-    argv = ["blocks", "--p", "2305843009213693951", "--n", "3"]
-    proc = subprocess.run([sys.executable, "-m", "blockhh.cli"] + argv, capture_output=True,
+    return subprocess.run([sys.executable, "-m", "blockhh.cli"] + argv, capture_output=True,
                           text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_huge_p_is_refused_before_any_trial_division():
+    # 2^61 - 1 is prime: trial division to its square root would run for hours
+    proc = launch(["blocks", "--p", "2305843009213693951", "--n", "3"])
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.endswith(
         "error: argument --p: p must be below 2^32, got 2305843009213693951\n")
@@ -168,20 +172,25 @@ def test_huge_p_is_refused_before_any_trial_division():
     (["series", "--name", "HH1group", "--p", "4294967291", "--order", "5"], "coefficient", 5),
 ])
 def test_group_series_at_the_largest_prime_is_zero_to_the_order(argv, column, length):
-    import os
-    import subprocess
-
-    import blockhh
-
     # t^p/(1 - t^p) vanishes below t^p: no coefficient tuple of length p is built
-    src = os.path.dirname(os.path.dirname(blockhh.__file__))
-    proc = subprocess.run([sys.executable, "-m", "blockhh.cli"] + argv + ["--format", "json"],
-                          capture_output=True, text=True, timeout=60,
-                          env=dict(os.environ, PYTHONPATH=src))
+    proc = launch(argv + ["--format", "json"])
     assert (proc.returncode, proc.stderr) == (0, "")
     rows = json.loads(proc.stdout)["rows"]
     assert len(rows) == length
     assert all(row[column] == 0 and row.get("match", True) for row in rows)
+
+
+@pytest.mark.parametrize("argv,stdout", [
+    # below t^p every partition is a p-core: c(5) counts the 7 partitions of 5
+    (["series", "--name", "Cs", "--p", "4294967291", "--s", "5", "--order", "1"],
+     "exponent  coefficient\n       0            7\n"),
+    # rho checks the empty core with p_core, whose cost follows the partition
+    (["verify", "--which", "thm2", "--p", "4294967291", "--order", "2"],
+     "thm2 (p=4294967291, order=1): holds\n"),
+])
+def test_largest_prime_builds_only_what_is_printed(argv, stdout):
+    proc = launch(argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
 
 
 def test_largest_prime_below_the_limit_is_accepted():

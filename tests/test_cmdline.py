@@ -37,7 +37,7 @@ def command_lines(draw):
     is given bare or, wrongly, with a value."""
     name, _, _, options = draw(st.sampled_from(cli.GRAMMAR))
     given_options = []
-    for flag, convert, _, choices, default, _ in options:
+    for flag, convert, _, choices, default in options:
         for _ in range(draw(st.integers(0, 2))):
             if default is False:  # a bare switch, which takes no value
                 given_options.append(draw(st.sampled_from([[flag], [flag + "=1"]])))

@@ -7,7 +7,6 @@ from hypothesis import example, given, strategies as st
 from blockhh.rational import (
     Polynomial,
     RationalFunction,
-    _section_quotient,
     descend,
     divmod_poly,
     expand,
@@ -253,10 +252,6 @@ def test_descend_rejects_pole_at_zero():
         descend(rf([1], [0, 0, 1]), 2)
 
 
-def test_section_quotient_needs_a_nonzero_denominator_section():
-    assert _section_quotient(Polynomial([1]), Polynomial([1, 0, 1]), 2, 1) is None
-
-
 def test_descend_zero_function():
     assert descend(rf([], [1, 0, -1]), 2) == rf([], [1])
 
@@ -277,27 +272,10 @@ def test_descend_roundtrip_randomized(m):
         assert substitute_power(expand(back, 10), m) == expand(lifted, 10 * m)
 
 
-def test_all_valid_sections_agree_on_unreduced_pairs():
-    # u(t) * (a, b)(t^m) is not reduced, so several residues carry sections
-    m = 2
-    base_num = Polynomial([0, 2])
-    base_den = Polynomial([1, -1])
-    for u in (Polynomial([1, 1]), Polynomial([0, 3, 1]), Polynomial([2, 0, 1, 1])):
-        num = u * base_num.substitute_power(m)
-        den = u * base_den.substitute_power(m)
-        results = {
-            s: _section_quotient(num, den, m, s)
-            for s in range(m)
-            if not den.section(m, s).is_zero
-        }
-        assert len(results) >= 2
-        assert set(results.values()) == {rf([0, 2], [1, -1])}
-
-
 @pytest.mark.parametrize("m", [2, 3, 5])
 def test_descend_well_defined_across_representations(m):
-    # any polynomial-pair representation of the same g(t^m) descends to the
-    # same canonical g, whichever residue carries its sections
+    # any polynomial-pair representation u*(a, b)(t^m) of the same g(t^m),
+    # unreduced before the constructor sees it, descends to the same g
     rng = random.Random(9000 + m)
     for _ in range(20):
         g = rf(
@@ -309,12 +287,35 @@ def test_descend_well_defined_across_representations(m):
         u = Polynomial([rng.choice([1, -1, 2])] + [rng.randint(-2, 2) for _ in range(3)])
         if u.is_zero:
             u = Polynomial([1])
-        results = {
-            _section_quotient(u * num, u * den, m, s)
-            for s in range(m)
-            if not (u * den).section(m, s).is_zero
-        }
-        assert results == {g}
+        assert descend(RationalFunction(u * num, u * den), m) == g
+
+
+@given(
+    st.lists(st.integers(-3, 3), max_size=5),
+    st.tuples(st.sampled_from([1, -1, 2]), st.lists(st.integers(-3, 3), max_size=4)),
+    st.integers(1, 4),
+    st.none() | st.lists(st.integers(-2, 2), min_size=1, max_size=3),
+)
+@example([1], (1, [-1]), 2, None)  # 1/(1 - t) does not descend
+def test_descend_succeeds_exactly_when_the_expansion_is_in_t_to_the_m(num, den, m, u):
+    # with u given, f is the pair lifted to t^m times u, unreduced until the
+    # constructor sees it; otherwise f is the drawn pair itself
+    from blockhh.series import substitute_power
+
+    num, den = Polynomial(num), Polynomial([den[0], *den[1]])
+    if u is not None and any(u):
+        u = Polynomial(u)
+        num, den = u * num.substitute_power(m), u * den.substitute_power(m)
+    f = RationalFunction(num, den)
+    skew = [n for n, c in enumerate(expand(f, 60).coeffs) if n % m and c]
+    try:
+        g = descend(f, m)
+    except ValueError as exc:
+        assert skew and "exponent %d," % skew[0] in str(exc)
+    else:
+        assert skew == []
+        for k in (1, 7, 60 // m):
+            assert substitute_power(expand(g, k), m) == expand(f, k * m)
 
 
 def test_equality_agrees_with_cross_multiplication():
