@@ -7,7 +7,10 @@ the bare ``--inject-fault``, every option name in full.  Anything else
 (``-h``, an abbreviated or unknown option, a bad or missing value, a missing
 required option, a stray token) and the cross-field errors of ``series`` go
 to argparse, imported and built from the same table only then, so help,
-usage lines, error messages and exit code 2 are argparse's.
+usage lines, error messages and exit code 2 are argparse's.  The library
+modules are bound as the package registers them, lazily, and read at the
+call, so a command runs only the modules it uses: ``series --name P`` and
+``Cs`` run ``series`` and ``tables`` alone, and ``verify`` never runs ``tables``.
 
 Output schemas are fixed per subcommand and integer-exact everywhere (full
 decimal, no floats).  ``tables.emit`` writes each table row by row as it is
@@ -22,14 +25,17 @@ from __future__ import annotations
 
 import os
 import sys
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from . import blocks as blocks_mod
 from . import hochschild as hh
+from . import oracle, tables
 from .cmdline import build_parser, parse_exact
-from .partitions import Partition, _check_prime
-from .series import PRIME_LIMIT, Series, euler_power, partition_gf, pcore_count_gf, section
-from .tables import emit
+from .series import (PRIME_LIMIT, Series, _check_prime, euler_power, partition_gf,
+                     pcore_count_gf, section)
+
+if TYPE_CHECKING:
+    from .partitions import Partition
 
 FALLBACK_ORDER = 40
 ORDER_ENV_VAR = "BLOCKHH_ORDER_DEFAULT"
@@ -111,7 +117,7 @@ def cmd_blocks(args, out) -> int:
             }
         )
     headers = ["p", "n", "core", "weight", "defect_order_exp", "dim_center", "dim_hh1"]
-    emit("blocks", {"p": args.p, "n": args.n}, headers, lambda: rows, args.format, out)
+    tables.emit("blocks", {"p": args.p, "n": args.n}, headers, lambda: rows, args.format, out)
     return 0
 
 
@@ -153,7 +159,7 @@ def cmd_series(args, out) -> int:
         params["p"] = args.p
     if args.s is not None:
         params["s"] = args.s
-    emit("series", params, ["exponent", "coefficient"], rows, args.format, out)
+    tables.emit("series", params, ["exponent", "coefficient"], rows, args.format, out)
     return 0
 
 
@@ -182,16 +188,15 @@ def cmd_verify(args, out) -> int:
 
 
 def cmd_oracle(args, out) -> int:
-    from .oracle import hh1_group_oracle
-
     formula = hh.hh1_group_series(args.p, args.n_max + 1)
     rows = []
     for n in range(args.n_max + 1):
-        o = hh1_group_oracle(args.p, n)
+        o = oracle.hh1_group_oracle(args.p, n)
         f = _int_coeff(formula[n])
         rows.append({"n": n, "oracle": o, "formula": f, "match": o == f})
     headers = ["n", "oracle", "formula", "match"]
-    emit("oracle", {"p": args.p, "n_max": args.n_max}, headers, lambda: rows, args.format, out)
+    params = {"p": args.p, "n_max": args.n_max}
+    tables.emit("oracle", params, headers, lambda: rows, args.format, out)
     return 0 if all(r["match"] for r in rows) else 1
 
 

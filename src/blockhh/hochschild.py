@@ -28,6 +28,8 @@ every verifier ends in _verdict; the builders return one route each.
 Every product is the one sparse recurrence series_mul_ratio: directly for a
 closed form (phi, the group factor, t^p phi(t^p)), through series_mul for eq12
 and the phi fit, which pass C_s and Z^(-1), the sparser operands, second.
+``blocks``, ``partitions`` and ``rational`` are bound as modules and read at
+the call, so the Z and group series run none of them.
 """
 
 from __future__ import annotations
@@ -36,13 +38,12 @@ from functools import cached_property
 from itertools import accumulate
 from typing import Iterable, Optional
 
-from .blocks import _hh1_factor, dim_center, dim_hh1, principal_block
-from .partitions import EMPTY, rho, _check_prime
-from .rational import Polynomial, RationalFunction, expand, rational_fit
+from . import blocks, partitions, rational
 from .record import Record
 from .series import (
     Coeff,
     Series,
+    _check_prime,
     euler_power,
     partition_gf,
     pcore_count_gf,
@@ -98,10 +99,11 @@ def y1_formula(p: int, r: int) -> int:
     return 2 if r % modulus in (0, modulus - 1) else 1
 
 
-def phi_r1(p: int) -> RationalFunction:
+def phi_r1(p: int) -> rational.RationalFunction:
     """The closed-form degree-one ratio: 2/(1-t) for p = 2, 1/(1-t) for p >= 3."""
     _check_prime(p)
-    return RationalFunction(Polynomial([2 if p == 2 else 1]), Polynomial([1, -1]))
+    one_minus_t = rational.Polynomial([1, -1])
+    return rational.RationalFunction(rational.Polynomial([2 if p == 2 else 1]), one_minus_t)
 
 
 class SeriesContext:
@@ -141,7 +143,7 @@ class SeriesContext:
         return tuple(section(cores, self.p, s) for s in range(self.p))
 
     @cached_property
-    def phi(self) -> Optional[RationalFunction]:
+    def phi(self) -> Optional[rational.RationalFunction]:
         return fit_phi(self.p, self.order, self)
 
 
@@ -162,7 +164,7 @@ def hh1_block_series(p: int, order: int, ctx: Optional[SeriesContext] = None) ->
     it, and thm3 compares it with t phi Z.  Z is read from ``ctx`` when given.
     """
     z = truncate(_context(p, order, ctx).Z, order - 1)
-    factor = _hh1_factor(p)
+    factor = blocks._hh1_factor(p)
     return Series(factor * partial for partial in accumulate(z.coeffs, initial=0))
 
 
@@ -185,7 +187,9 @@ def theorem3_min_order(p: int) -> int:
     return max(20, 2 * p + 7)
 
 
-def fit_phi(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Optional[RationalFunction]:
+def fit_phi(
+    p: int, order: int, ctx: Optional[SeriesContext] = None
+) -> Optional[rational.RationalFunction]:
     """Reconstruct phi from series data alone: fit (Y(t)/t) * Z(t)^(-1), or None.
 
     Reads Y and Z only to theorem3_min_order(p), which overdetermines degree
@@ -202,7 +206,7 @@ def fit_phi(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Optional
     y, z = truncate(ctx.Y, need), truncate(ctx.Z, need)
     if y[0] != 0:
         return None
-    return rational_fit(series_mul(shift(y, -1), series_inv(z)), p + 2, p + 2)
+    return rational.rational_fit(series_mul(shift(y, -1), series_inv(z)), p + 2, p + 2)
 
 
 def verify_block_decomposition(
@@ -259,7 +263,7 @@ def verify_theorem3(
     def comparisons():
         yield truncate(y, 2), Series([0, y1_formula(p, 1)])
         # agreement to this order pins the function within the degree bounds
-        yield expand(phi_hat, order), expand(phi_r1(p), order)
+        yield rational.expand(phi_hat, order), rational.expand(phi_r1(p), order)
         z = truncate(ctx.Z, order - 1)
         yield y, shift(series_mul_ratio(z, phi_hat.num.coeffs, phi_hat.den.coeffs), 1)
         yield truncate(ctx.group, order), _lift(phi_hat, p, truncate(ctx.P, order))
@@ -290,22 +294,22 @@ def verify_theorem2(
     guard = min(max_weight + 1, 12)
     if inject_fault:
         y = _bump(y, max(1, max_weight // 2))
-    factor = _hh1_factor(p)
+    factor = blocks._hh1_factor(p)
 
     def comparisons():
         yield truncate(counts, guard), partition_gf(guard) ** p
-        blocks = [principal_block(p, w) for w in range(max_weight + 1)]
-        value = Series(dim_hh1(b, counts) for b in blocks)
-        rho_sums = accumulate((rho(p * w, EMPTY, p, counts) for w in range(max_weight)), initial=0)
-        yield value, Series(factor * r for r in rho_sums)
-        center_sums = accumulate((dim_center(b, counts) for b in blocks[:-1]), initial=0)
-        yield value, Series(factor * c for c in center_sums)
+        principal = [blocks.principal_block(p, w) for w in range(max_weight + 1)]
+        value = Series(blocks.dim_hh1(b, counts) for b in principal)
+        rhos = (partitions.rho(p * w, partitions.EMPTY, p, counts) for w in range(max_weight))
+        yield value, Series(factor * r for r in accumulate(rhos, initial=0))
+        centers = (blocks.dim_center(b, counts) for b in principal[:-1])
+        yield value, Series(factor * c for c in accumulate(centers, initial=0))
         yield value, y
 
     return _verdict("thm2", p, max_weight, comparisons())
 
 
-def _lift(phi: RationalFunction, p: int, gf: Series) -> Series:
+def _lift(phi: rational.RationalFunction, p: int, gf: Series) -> Series:
     """t^p phi(t^p) gf to gf's order, substituting t -> t^p on phi's polynomials."""
     num, den = phi.num.substitute_power(p).shift(p), phi.den.substitute_power(p)
     return series_mul_ratio(gf, num.coeffs, den.coeffs)

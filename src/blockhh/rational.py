@@ -7,11 +7,15 @@ is unique, so it is a pair in t^m exactly when f is a series in t^m, and its
 0-th m-sections are g.
 
 Every division goes through ``series._inverse``, so ``fractions`` loads with
-the first one: coefficients stay ints until a quotient needs a ``Fraction``.
+the first one by something other than 1 or -1: coefficients stay ints until a
+quotient needs a ``Fraction``.  The gcd stops at a constant remainder and the
+Pade solve divides each integer pivot row by its content, so the closed
+forms 2/(1-t) and 1/(1-t), and their fits, are built in ints.
 """
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Iterable, Optional
 
 from . import series
@@ -119,6 +123,8 @@ def divmod_poly(a: Polynomial, b: Polynomial) -> tuple[Polynomial, Polynomial]:
 def gcd_poly(a: Polynomial, b: Polynomial) -> Polynomial:
     """Monic greatest common divisor by the Euclidean algorithm."""
     while not b.is_zero:
+        if b.degree == 0:  # a nonzero constant divides everything
+            return Polynomial([1])
         a, b = b, divmod_poly(a, b)[1]
     if a.is_zero:
         return a
@@ -234,6 +240,9 @@ def _solve_exact(
         if pivot is None:
             continue
         m[r], m[pivot] = m[pivot], m[r]
+        if all(type(x) is int for x in m[r]):  # a pivot equal to the content becomes 1
+            g = gcd(*m[r])
+            m[r] = [x // g for x in m[r]]
         inv = _inverse(m[r][col])
         m[r] = [x * inv for x in m[r]]
         for i in range(nrows):

@@ -7,12 +7,14 @@ arithmetic is exact: coefficients are Python ints or ``fractions.Fraction``,
 never floats, so identity checks performed with these series are meaningful.
 Every product of two coefficient sequences, every inverse and every expansion
 is the one sparse recurrence series_mul_ratio.  The module imports nothing
-from the package, so the one prime check lives here.
+from the package, so the one prime check lives here, and the command line
+reads it here: ``series --name P`` runs no other library module.
 
 ``fractions`` loads only when a rational coefficient can arise: ``_coeff``
 imports it for a coefficient that is not an int, and ``_inverse`` for the
-exact division behind every ``Fraction`` the package builds.  Integer-only
-work (partition counts, core counts, the count series) never loads it.
+exact division behind every ``Fraction`` the package builds, unless it
+inverts 1 or -1.  Integer-only work (partition counts, core counts, the count
+series) never loads it.
 """
 
 from __future__ import annotations
@@ -50,7 +52,10 @@ def _coeff(x) -> Coeff:
 
 
 def _inverse(c: Coeff) -> Coeff:
-    """1/c for a nonzero exact coefficient, normalized as ``_coeff`` does."""
+    """1/c for a nonzero exact coefficient, normalized as ``_coeff`` does;
+    an int 1 or -1 is its own inverse, returned before fractions is loaded."""
+    if type(c) is int and (c == 1 or c == -1):
+        return c
     from fractions import Fraction
 
     return _coeff(Fraction(1, c))
@@ -138,7 +143,7 @@ def series_mul_ratio(a: Series, num: Sequence[Coeff], den: Sequence[Coeff]) -> S
     if not den or den[0] == 0:
         raise ValueError("denominator vanishes at 0: no power-series expansion")
     order, ac, d0 = a.order, a.coeffs, den[0]
-    inv0 = _inverse(d0) if d0 != 1 else 1
+    inv0 = _inverse(d0)
     num_terms = [(k, c) for k, c in enumerate(num[:order]) if c]
     den_terms = [(k, c) for k, c in enumerate(den[:order]) if c and k]
     out: list[Coeff] = []

@@ -274,9 +274,10 @@ def test_count_series_fault_fails_thm2_at_its_exponent(monkeypatch):
 
 def bump_block_route(monkeypatch, name, weight):
     """Add 1 to thm2's ``rho`` at n = p * weight, or to its ``dim_center`` at that weight."""
-    from blockhh import hochschild as hh
+    from blockhh import blocks, partitions
 
-    real = getattr(hh, name)
+    owner = partitions if name == "rho" else blocks  # thm2 looks both up at the call
+    real = getattr(owner, name)
     if name == "rho":
 
         def bumped(n, core, p, Z=None):
@@ -287,7 +288,7 @@ def bump_block_route(monkeypatch, name, weight):
         def bumped(b, Z=None):
             return real(b, Z) + (b.weight == weight)
 
-    monkeypatch.setattr(hh, name, bumped)
+    monkeypatch.setattr(owner, name, bumped)
 
 
 @pytest.mark.parametrize(
@@ -422,13 +423,13 @@ def test_y_fault_that_defeats_the_phi_fit_exits_one(monkeypatch, capsys, which, 
 
 
 def test_weight_one_check_of_thm3_fires(monkeypatch):
-    from blockhh import hochschild as hh
+    from blockhh import blocks, hochschild as hh
     from blockhh.rational import Polynomial, RationalFunction
 
     # Y is built with factor 1, the fit finds 1/(1 - t) and the patched closed
     # form agrees, so only the weight-1 check sees y_1 = 1 where it gives 2
     geometric = RationalFunction(Polynomial([1]), Polynomial([1, -1]))
-    monkeypatch.setattr(hh, "_hh1_factor", lambda p: 1)
+    monkeypatch.setattr(blocks, "_hh1_factor", lambda p: 1)
     monkeypatch.setattr(hh, "phi_r1", lambda p: geometric)
     code, text = run(["verify", "--which", "thm3", "--p", "2", "--order", "30"])
     assert code == 1
@@ -437,7 +438,7 @@ def test_weight_one_check_of_thm3_fires(monkeypatch):
 
 @pytest.mark.parametrize("p, lhs, rhs, phi", [(2, 3, 2, "3/(1 - t)"), (3, 2, 1, "2/(1 - t)")])
 def test_block_formula_factor_fault_fails_thm3_alone(monkeypatch, p, lhs, rhs, phi):
-    from blockhh import blocks, hochschild as hh
+    from blockhh import blocks
 
     # dim_hh1, Y and thm2's partial sums share the factor, so they still agree
     # and thm2 holds; thm3's weight-1 check and closed form see the fault
@@ -445,7 +446,6 @@ def test_block_formula_factor_fault_fails_thm3_alone(monkeypatch, p, lhs, rhs, p
         return (2 if p == 2 else 1) + 1
 
     monkeypatch.setattr(blocks, "_hh1_factor", wrong)
-    monkeypatch.setattr(hh, "_hh1_factor", wrong)
     code, text = run(["verify", "--which", "thm2", "--p", str(p), "--order", "30"])
     assert (code, text) == (0, "thm2 (p=%d, order=15): holds\n" % p)
     code, text = run(["verify", "--which", "thm3", "--p", str(p), "--order", "30"])
@@ -561,7 +561,7 @@ def _former_rendering(monkeypatch, argv):
         rendered.append(oracles.render_reference(command, params, headers, list(rows()), fmt))
 
     with monkeypatch.context() as m:
-        m.setattr(cli, "emit", render)
+        m.setattr(tables, "emit", render)
         code = cli.main(argv, out=io.StringIO())
     return code, rendered[0]
 
@@ -771,9 +771,15 @@ def test_cli_start_loads_no_unused_stdlib_modules():
     for argv in integer_only:
         added = loaded(run_quietly % (argv,)) - bare
         assert not added & (unused | rational | usage), argv
-    # thm3's rational factor divides, so the deferred import runs
-    verify = ["verify", "--which", "thm3", "--p", "2", "--order", "30"]
-    added = loaded(run_quietly % (verify,)) - bare
+    # the fit and the closed forms 2/(1-t), 1/(1-t) divide only by 1 and -1
+    for argv in (["verify", "--which", "thm3", "--p", "2", "--order", "30"],
+                 ["verify", "--which", "thm3", "--p", "3"]):
+        added = loaded(run_quietly % (argv,)) - bare
+        assert not added & (unused | rational | usage), argv
+    # the first division by anything else runs the deferred import
+    halves = "from blockhh import rational as r; r.expand(r.RationalFunction("
+    halves += "r.Polynomial([1]), r.Polynomial([2, -1])), 3); "
+    added = loaded(halves) - bare
     assert rational <= added and not added & (unused | usage)
     # help and a usage error go to argparse, which exits
     exits = ("import os\nfrom blockhh import cli\n"
@@ -781,3 +787,35 @@ def test_cli_start_loads_no_unused_stdlib_modules():
     for argv in (["-h"], ["blocks", "--p", "9", "--n", "2"]):
         added = loaded(exits % (argv,)) - bare
         assert usage <= added and not added & (unused | rational), argv
+
+
+def test_cli_start_runs_only_the_modules_its_command_uses():
+    # a lazily registered module stays of its own type until an attribute is
+    # read, so type() tells which ones ran without running any more of them
+    import os
+    import subprocess
+
+    import blockhh
+
+    src = os.path.dirname(os.path.dirname(blockhh.__file__))
+    code = ("import os, sys, types\n"
+            "from blockhh import cli\n"
+            "cli.main(%r, out=open(os.devnull, 'w'))\n"
+            "print(' '.join(name for name, module in sys.modules.items()\n"
+            "               if name.startswith('blockhh') and type(module) is types.ModuleType))\n")
+
+    def ran(argv):
+        out = subprocess.run([sys.executable, "-c", code % (argv,)], check=True, text=True,
+                             env=dict(os.environ, PYTHONPATH=src), capture_output=True).stdout
+        return {name.partition(".")[2] or name for name in out.split()}
+
+    command_line = {"blockhh", "cli", "cmdline", "series"}
+    assert ran(["series", "--name", "P", "--order", "1"]) == command_line | {"tables"}
+    assert ran(["series", "--name", "Cs", "--p", "3", "--s", "1"]) == command_line | {"tables"}
+    assert ran(["blocks", "--p", "3", "--n", "6"]) == command_line | {
+        "tables", "blocks", "partitions", "record"}
+    # hochschild reads blocks, partitions and rational only where it calls them
+    assert ran(["series", "--name", "Z", "--p", "3"]) == command_line | {
+        "tables", "hochschild", "record"}
+    assert not {"blocks", "rational"} & ran(["oracle", "--p", "2", "--n-max", "4"])
+    assert "tables" not in ran(["verify", "--which", "thm2", "--p", "3"])
