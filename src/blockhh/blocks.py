@@ -24,9 +24,9 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .partitions import EMPTY, _check_prime, _no_p_hook, _tuple_counts, partitions_of
+from . import partitions  # read at the call: the Y series runs none of it
 from .record import Record
-from .series import Series
+from .series import Series, _check_prime
 
 
 def sylow_exponent(p: int, m: int) -> int:
@@ -61,7 +61,7 @@ class BlockDescriptor(Record):
         _check_prime(self.p)
         if self.weight < 0:
             raise ValueError("weight must be nonnegative")
-        if not _no_p_hook(self.core, self.p):  # is_p_core, p checked above
+        if not partitions._no_p_hook(self.core, self.p):  # is_p_core, p checked above
             raise ValueError("core %r is not its own %d-core" % (self.core, self.p))
 
     @property
@@ -76,7 +76,7 @@ class BlockDescriptor(Record):
 
 def principal_block(p: int, weight: int) -> BlockDescriptor:
     """The principal block of kS_{p*weight}: empty core, the given weight."""
-    return BlockDescriptor(p, EMPTY, weight)
+    return BlockDescriptor(p, partitions.EMPTY, weight)
 
 
 def blocks_of(p: int, n: int) -> list[BlockDescriptor]:
@@ -89,9 +89,10 @@ def blocks_of(p: int, n: int) -> list[BlockDescriptor]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     out = []
+    partitions_of, no_p_hook = partitions.partitions_of, partitions._no_p_hook
     for w in range(n // p, -1, -1):
         for lam in partitions_of(n - p * w):
-            if _no_p_hook(lam, p):  # is_p_core, with p checked once above
+            if no_p_hook(lam, p):  # is_p_core, with p checked once above
                 out.append(BlockDescriptor(p, lam, w))
     return out
 
@@ -100,7 +101,7 @@ def dim_center(b: BlockDescriptor, Z: Optional[Series] = None) -> int:
     """Dimension of the block's center: rho(n, core, p), the p-tuples of
     partitions of total size weight, the coefficient z_w of the count series
     Z (the descriptor validated the core)."""
-    return _tuple_counts(b.p, b.weight, Z)[b.weight]
+    return partitions._tuple_counts(b.p, b.weight, Z)[b.weight]
 
 
 def _hh1_factor(p: int) -> int:
@@ -121,5 +122,5 @@ def dim_hh1(b: BlockDescriptor, Z: Optional[Series] = None) -> int:
     and the plain sum for p >= 3.  Zero exactly at weight 0, strictly
     positive for every positive-weight (equivalently, positive-defect) block.
     """
-    return _hh1_factor(b.p) * sum(_tuple_counts(b.p, b.weight, Z)[: b.weight])
+    return _hh1_factor(b.p) * sum(partitions._tuple_counts(b.p, b.weight, Z)[: b.weight])
 

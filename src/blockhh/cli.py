@@ -146,13 +146,12 @@ def cmd_series(args, out) -> int:
             usage_error("argument --s: %d out of range 0..%d" % (args.s, args.p - 1))
     elif args.s is not None:
         usage_error("argument --s: only meaningful for series 'Cs'")
-    coeffs = _series_for(args.name, args.p, order, args.s).coeffs
-    for c in coeffs:  # every coefficient is checked before anything is written
-        _int_coeff(c)
+    # every coefficient is checked, once, before anything is written
+    coeffs = [_int_coeff(c) for c in _series_for(args.name, args.p, order, args.s).coeffs]
 
     def rows():
         for n, c in enumerate(coeffs):
-            yield {"exponent": n, "coefficient": int(c)}
+            yield {"exponent": n, "coefficient": c}
 
     params = {"name": args.name, "order": order}
     if args.p is not None:

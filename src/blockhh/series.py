@@ -244,23 +244,37 @@ def euler_power(alpha: int, order: int) -> Series:
     By Euler's pentagonal theorem E has O(sqrt(order)) nonzero coefficients,
     (-1)^j at j(3j -+ 1)/2, so J. C. P. Miller's power recurrence (Knuth,
     TAOCP Vol. 2, 4.7), n g_n = sum_k ((alpha + 1) k - n) e_k g_{n-k}, costs
-    O(order^1.5).  Each division by n is exact; a remainder raises RuntimeError.
+    O(order^1.5).  It runs as n g_n = (alpha + 1) S1 - n S0, S1 = sum_k k e_k g_{n-k}, with
+    S0 = sum_k e_k g_{n-k} summed by the sign of e_k, additions only; at alpha = -1 it is
+    Euler's partition recurrence g_n = -S0.  Each division by n is exact, else RuntimeError.
     """
     if order < 1:
         raise ValueError("order must be positive")
     pentagonal = _pentagonal(order)
+    plus, minus = ([k for k, e in pentagonal if e == sign] for sign in (1, -1))
+    weights = [(k, k * e) for k, e in pentagonal]
     g = [1] + [0] * (order - 1)
     for n in range(1, order):
-        acc = 0
-        for k, e in pentagonal:
+        s0 = s1 = 0
+        for k in plus:
             if k > n:
                 break
-            acc += ((alpha + 1) * k - n) * e * g[n - k]
-        g[n], remainder = divmod(acc, n)
-        if remainder:
-            raise RuntimeError(
-                "inexact division at t^%d of the Euler product to the power %s" % (n, alpha)
-            )
+            s0 += g[n - k]
+        for k in minus:
+            if k > n:
+                break
+            s0 -= g[n - k]
+        if alpha + 1:
+            for k, w in weights:
+                if k > n:
+                    break
+                s1 += w * g[n - k]
+            quotient, remainder = divmod((alpha + 1) * s1, n)
+            if remainder:
+                raise RuntimeError("inexact division at t^%d of the Euler product to the "
+                                   "power %s" % (n, alpha))
+            s0 -= quotient
+        g[n] = -s0
     return Series._trusted(tuple(g))
 
 

@@ -5,7 +5,7 @@ each a dict keyed by the headers.  ``emit`` writes one row at a time and
 hands the text to the output stream in batches of about BATCH_CHARS, so
 nothing but the current batch is held.  The JSON is byte-identical to
 ``canonical_json`` of the whole document, the one definition of the format.
-``json`` and ``csv`` load only for the format that uses them.
+``json`` loads only for text that needs escaping, ``csv`` only for CSV.
 """
 
 from __future__ import annotations
@@ -56,11 +56,14 @@ def _cell(value) -> str:
 
 
 def _json_value(value) -> str:
-    """One value as ``canonical_json`` renders it, with the common cases inline."""
+    """One value as ``canonical_json`` renders it; ints, bools and plain strings inline."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
         return int.__repr__(value)
+    if (isinstance(value, str) and value.isascii() and value.isprintable()
+            and '"' not in value and "\\" not in value):  # nothing for json to escape
+        return '"%s"' % value
     return canonical_json(value)
 
 
@@ -71,9 +74,12 @@ def _write_json(command: str, params: dict, headers: list[str], rows, out) -> No
     fixed head, each row from one template, and a fixed tail.
     """
     keys = sorted(headers)
-    out.write('{\n  "command": %s,\n  "params": %s,\n  "rows": ['
-              % (canonical_json(command), canonical_json(params).replace("\n", "\n  ")))
-    fields = ",".join('\n      %s: %%s' % canonical_json(k).replace("%", "%%") for k in keys)
+    items = [(_json_value(k), _json_value(v)) for k, v in sorted(params.items())]
+    head = "{%s\n  }" % ",".join("\n    %s: %s" % kv for kv in items) if items else "{}"
+    if not all(k[0] == '"' and "\n" not in v for k, v in items):  # a key json converts, or nesting
+        head = canonical_json(params).replace("\n", "\n  ")
+    out.write('{\n  "command": %s,\n  "params": %s,\n  "rows": [' % (_json_value(command), head))
+    fields = ",".join('\n      %s: %%s' % _json_value(k).replace("%", "%%") for k in keys)
     template = "\n    {%s\n    }" % fields if keys else "\n    {}"
     sep = ""  # "," once a row is written
     for row in rows:

@@ -12,10 +12,11 @@ own enumeration (ZS1, abacus cores) and are tested against the routes above.
 ``CycleType`` and ``hom_to_Fp_dim``, also formerly public, are the per-class
 definition that the package's run-length oracle loop is tested against.
 
-The next five are the package's former loops for the Cauchy product, the
-power, expansion, inversion and the full-system rational fit, kept unchanged
-as ground truth for the sparse recurrence ``series_mul_ratio``, square and
-multiply, and the square Pade solve.
+The next six are the package's former loops for the Cauchy product, the
+power, expansion, inversion, the full-system rational fit and J. C. P.
+Miller's power recurrence for the Euler product, kept unchanged as ground
+truth for the sparse recurrence ``series_mul_ratio``, square and multiply,
+the square Pade solve and the sign-split ``euler_power``.
 
 The last, ``render_reference``, is the CLI's former renderer, which built
 the whole document in memory before writing it; the streaming
@@ -34,7 +35,7 @@ from blockhh.blocks import BlockDescriptor
 from blockhh.partitions import Partition, _check_prime, is_p_core, p_core, partitions_of
 from blockhh.rational import Polynomial, RationalFunction, _solve_exact
 from blockhh.record import Record
-from blockhh.series import Coeff, Series, _coeff, one, series_mul
+from blockhh.series import Coeff, Series, _coeff, _pentagonal, one, series_mul
 from blockhh.tables import canonical_json
 
 
@@ -345,6 +346,27 @@ def rational_fit_reference(
     if expand_reference(f, s.order) != s:
         return None
     return f
+
+
+def euler_power_miller(alpha: int, order: int) -> Series:
+    """E(t)^alpha by Miller's recurrence term by term:
+    n g_n = sum_k ((alpha + 1) k - n) e_k g_{n-k}, each division by n exact."""
+    if order < 1:
+        raise ValueError("order must be positive")
+    pentagonal = _pentagonal(order)
+    g = [1] + [0] * (order - 1)
+    for n in range(1, order):
+        acc = 0
+        for k, e in pentagonal:
+            if k > n:
+                break
+            acc += ((alpha + 1) * k - n) * e * g[n - k]
+        g[n], remainder = divmod(acc, n)
+        if remainder:
+            raise RuntimeError(
+                "inexact division at t^%d of the Euler product to the power %s" % (n, alpha)
+            )
+    return Series._trusted(tuple(g))
 
 
 def _cell(value) -> str:

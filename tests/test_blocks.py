@@ -108,17 +108,19 @@ def test_blocks_partition_the_partitions(p):
 
 
 def test_core_check_that_accepts_a_non_core_is_caught(monkeypatch):
-    import blockhh.blocks
+    from blockhh import partitions
 
     non_core = Partition((2,))
     assert not is_p_core(non_core, 2)
+    no_p_hook = partitions._no_p_hook
 
     def faulty(lam, p):
-        return lam == non_core or is_p_core(lam, p)
+        return lam == non_core or no_p_hook(lam, p)
 
     # blocks_of's candidate filter and the descriptor's core check share one
-    # unchecked predicate; a fault in it reaches both
-    monkeypatch.setattr(blockhh.blocks, "_no_p_hook", faulty)
+    # unchecked predicate, which blocks reads from partitions at the call; a
+    # fault in it reaches both
+    monkeypatch.setattr(partitions, "_no_p_hook", faulty)
     # the descriptor now takes the non-core, blocks_of lists it at n = 2, and
     # rho's own p_core check refuses it
     assert BlockDescriptor(2, non_core, 0).core == non_core

@@ -620,6 +620,9 @@ def _tables(draw):
 @example(("series", {"name": "P", "order": 1}, ["exponent", "coefficient"], []), "table")
 @example(("oracle", {}, ["n", "match"], [{"n": -(2**70), "match": False}]), "json")
 @example(("%s", {"%": "%d"}, ["%", "%s", 'q"'], [{"%": 1, "%s": "%", 'q"': True}]), "json")
+@example(("series", {"name": "caf\u00e9", "order": 2}, ["n"], [{"n": 1}]), "json")
+@example(("series", {'q"': "x", "a\\b": 1}, ["n"], [{"n": 1}]), "json")
+@example(("blocks", {}, ["core"], [{"core": "3,1,1"}, {"core": ""}]), "json")
 def test_emit_matches_the_former_renderer(table, fmt):
     command, params, headers, rows = table
     out = io.StringIO()
@@ -768,6 +771,10 @@ def test_cli_start_loads_no_unused_stdlib_modules():
                      ["series", "--name", "Y", "--p", "3"],  # partial sums of Z
                      ["series", "--name", "HH1group", "--p", "3"],
                      ["series", "--name", "Cs", "--p", "3", "--s", "1"]]
+    # JSON renders ints, bools and plain ASCII strings inline: no json module
+    integer_only += [["series", "--name", "P", "--format", "json"],
+                     ["blocks", "--p", "3", "--n", "12", "--format", "json"],
+                     ["oracle", "--p", "2", "--n-max", "10", "--format", "json"]]
     for argv in integer_only:
         added = loaded(run_quietly % (argv,)) - bare
         assert not added & (unused | rational | usage), argv
@@ -817,5 +824,8 @@ def test_cli_start_runs_only_the_modules_its_command_uses():
     # hochschild reads blocks, partitions and rational only where it calls them
     assert ran(["series", "--name", "Z", "--p", "3"]) == command_line | {
         "tables", "hochschild", "record"}
+    # Y reads blocks' factor only; blocks reads partitions where it calls it
+    assert ran(["series", "--name", "Y", "--p", "3"]) == command_line | {
+        "tables", "hochschild", "record", "blocks"}
     assert not {"blocks", "rational"} & ran(["oracle", "--p", "2", "--n-max", "4"])
     assert "tables" not in ran(["verify", "--which", "thm2", "--p", "3"])

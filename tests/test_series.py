@@ -204,6 +204,14 @@ def test_pcore_count_gf_matches_stride_reference(p):
     assert list(pcore_count_gf(p, 301).coeffs) == oracles.core_count_series(p, 301)
 
 
+@given(st.integers(-40, 40), st.integers(1, 400))
+@example(-1, 3000)
+def test_euler_power_matches_millers_recurrence(alpha, order):
+    # the sign-split sums, and Euler's recurrence at alpha = -1, against the
+    # recurrence term by term
+    assert euler_power(alpha, order) == oracles.euler_power_miller(alpha, order)
+
+
 def test_euler_power_edges():
     assert euler_power(0, 5) == one(5)
     assert euler_power(-4, 1) == one(1)
