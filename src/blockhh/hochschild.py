@@ -26,7 +26,8 @@ transcription error in either route fails, and so does a failed fit (None).
 Each identity is compared in one place, the verifier that reports it, and
 every verifier ends in _verdict; the builders return one route each.
 Every product is the one sparse recurrence series_mul_ratio: directly for a
-closed form (phi, the group factor, t^p phi(t^p)), through series_mul for eq12
+closed form or a fitted phi (phi, the group factor, t^p phi(t^p), the check
+of each rung of the phi fit), through series_mul for eq12
 and the phi fit, which pass C_s and Z^(-1), the sparser operands, second.
 ``blocks``, ``partitions`` and ``rational`` are bound as modules and read at
 the call, so the Z and group series run none of them.
@@ -194,8 +195,10 @@ def fit_phi(
 
     Reads Y and Z only to theorem3_min_order(p), which overdetermines degree
     bounds (p+2, p+2); within them a fit of the prefix is the function (Pade
-    uniqueness), and thm3 checks it to the full order.  None when Y has a
-    constant term or nothing matches.  Y and Z are read from ``ctx`` when given.
+    uniqueness), and thm3 checks it to the full order.  Bounds d = 1, 2, 4, ...
+    below p+2 fit 2d+2 terms, kept only if Y = t phi Z on the whole prefix;
+    the last rung fits it all.  None when Y has a constant term or nothing
+    matches.  Y and Z are read from ``ctx`` when given.
     """
     need = theorem3_min_order(p)
     if order < need:
@@ -206,7 +209,15 @@ def fit_phi(
     y, z = truncate(ctx.Y, need), truncate(ctx.Z, need)
     if y[0] != 0:
         return None
-    return rational.rational_fit(series_mul(shift(y, -1), series_inv(z)), p + 2, p + 2)
+    y_t, z_t = shift(y, -1), truncate(z, need - 1)
+    d = 1
+    while d < p + 2:  # phi is c/(1-t): the first rung is the one that holds
+        k = 2 * d + 2
+        f = rational.rational_fit(series_mul(truncate(y_t, k), series_inv(truncate(z, k))), d, d)
+        if f is not None and series_mul_ratio(z_t, f.num.coeffs, f.den.coeffs) == y_t:
+            return f
+        d *= 2
+    return rational.rational_fit(series_mul(y_t, series_inv(z)), p + 2, p + 2)
 
 
 def verify_block_decomposition(

@@ -17,8 +17,10 @@ and the degree-one dimension for kS_n is the sum of these over the cycle
 types of all partitions of n.  None of this touches generating functions,
 which is the point: it is the independent side of every end-to-end check.
 
-``hh1_group_oracle`` visits every class but scores it in one pass over the
-runs of equal parts: 1 if p divides the part, 1 more if p = 2 and it repeats.
+``hh1_group_oracle`` visits and scores every class.  For p odd the score is
+the number of distinct parts that p divides, the size of the intersection of
+the parts with the set of multiples of p up to n.  At p = 2 it is one pass
+over the runs of equal parts: 1 if 2 divides the part, 1 more if it repeats.
 """
 
 from __future__ import annotations
@@ -32,12 +34,17 @@ def hh1_group_oracle(p: int, n: int) -> int:
     if n < 0:
         raise ValueError("n must be nonnegative")
     total = 0
+    if p != 2:
+        multiples = set(range(p, n + 1, p))
+        for lam in partitions_of(n):
+            total += len(multiples.intersection(lam.parts))
+        return total
     for lam in partitions_of(n):
         prev = prev2 = 0  # the two parts before a; parts are positive
         for a in lam.parts:
             if a != prev:
-                total += a % p == 0
-            elif p == 2 and a != prev2:
+                total += a % 2 == 0
+            elif a != prev2:
                 total += 1
             prev2, prev = prev, a
     return total

@@ -19,10 +19,12 @@ of length len(parts).
 
 ``partitions_of`` is the iterative ZS1 generator (Zoghbi and Stojmenovic,
 1998).  ``is_p_core`` is the no-p-hook test (James and Kerber, 2.7): no bead
-b of the beta-set has b - p >= 0 free.  ``p_core`` is its ground truth.
-``Partition(...)`` validates, but ``partitions_of`` and ``partition_from_beta``
-build valid parts and skip the checks.  ``is_p_core`` checks p, then runs
-``_no_p_hook``, which callers that have checked p call directly.
+b of the beta-set has b - p >= 0 free.  With the beta-set as an int bitmask
+that is one test, ``not beads >> p & ~beads``.  ``p_core`` is its ground
+truth.  ``Partition(...)`` validates, but ``partitions_of`` and
+``partition_from_beta`` build valid parts and skip the checks.  ``is_p_core``
+checks p, then runs ``_no_p_hook``, which callers that have checked p call
+directly.
 
 ``rho`` reads one coefficient of the count series Z = E(t)^(-p), p-tuples of
 partitions by total size.  A caller that needs many passes Z in, built once;
@@ -217,22 +219,23 @@ def is_p_core(lam: Partition, p: int) -> bool:
 
 
 def _no_p_hook(lam: Partition, p: int) -> bool:
-    """``is_p_core`` for a p already checked prime; the beta-set of length
-    len(parts) is read straight from the parts.
+    """``is_p_core`` for a p already checked prime, on the beta-set of length
+    len(parts) held as an int bitmask: bit b is set when b is a bead.
 
     The lowest beads are tested first, without the beta-set: a last part of
     at least p is a horizontal p-hook in the last row, and p equal last parts
-    are a vertical one in the last p rows.
+    are a vertical one in the last p rows.  Then ``beads >> p & ~beads`` is
+    nonzero exactly when some bead b + p has b free, which is a p-hook.
     """
     parts = lam.parts
     L = len(parts)
     if L and (parts[-1] >= p or (L >= p and parts[-p] == parts[-1])):
         return False
-    beta = {x + L - i for i, x in enumerate(parts, 1)}
-    for b in beta:
-        if b >= p and b - p not in beta:
-            return False
-    return True
+    beads = 0
+    for x in parts:
+        L -= 1
+        beads |= 1 << (x + L)
+    return not beads >> p & ~beads
 
 
 def rho(n: int, core: Partition, p: int, Z: Optional[Series] = None) -> int:

@@ -10,7 +10,14 @@ Three functions after those are enumeration routes that used to be public in
 the package and had no caller there but the tests.  They keep the package's
 own enumeration (ZS1, abacus cores) and are tested against the routes above.
 ``CycleType`` and ``hom_to_Fp_dim``, also formerly public, are the per-class
-definition that the package's run-length oracle loop is tested against.
+definition that the package's oracle is tested against.
+
+Three more are the package's former kernels, unchanged: the no-p-hook test
+on the beta-set as a Python set (``no_p_hook_reference``, ground truth for
+the bitmask ``_no_p_hook``), the oracle's single run-length loop at every p
+(``hh1_group_oracle_reference``, for the set-intersection score at odd p),
+and the one (p+2, p+2) fit of the whole prefix (``fit_phi_reference``, for
+the degree ladder of ``fit_phi``).
 
 The next six are the package's former loops for the Cauchy product, the
 power, expansion, inversion, the full-system rational fit and J. C. P.
@@ -32,10 +39,21 @@ from functools import lru_cache
 from typing import Optional
 
 from blockhh.blocks import BlockDescriptor
+from blockhh.hochschild import SeriesContext, _context, theorem3_min_order
 from blockhh.partitions import Partition, _check_prime, is_p_core, p_core, partitions_of
-from blockhh.rational import Polynomial, RationalFunction, _solve_exact
+from blockhh.rational import Polynomial, RationalFunction, _solve_exact, rational_fit
 from blockhh.record import Record
-from blockhh.series import Coeff, Series, _coeff, _pentagonal, one, series_mul
+from blockhh.series import (
+    Coeff,
+    Series,
+    _coeff,
+    _pentagonal,
+    one,
+    series_inv,
+    series_mul,
+    shift,
+    truncate,
+)
 from blockhh.tables import canonical_json
 
 
@@ -232,13 +250,75 @@ class CycleType(Record):
         return cls(tuple(sorted(mult.items())))
 
 
+@lru_cache(maxsize=None)
+def _checked_prime(p: int) -> int:
+    """p, once ``_check_prime`` accepts it: a prime near 2^32 costs 2^16
+    trial divisions, too many to repeat for every class."""
+    _check_prime(p)
+    return p
+
+
 def hom_to_Fp_dim(p: int, cycle_type: CycleType) -> int:
     """dim Hom(C(g), F_p) for g of the given cycle type, via the wreath formula."""
-    _check_prime(p)
+    _checked_prime(p)
     return sum(
         (1 if a % p == 0 else 0) + (1 if p == 2 and m >= 2 else 0)
         for a, m in cycle_type.multiplicities
     )
+
+
+def no_p_hook_reference(lam: Partition, p: int) -> bool:
+    """Whether lam has no p-hook, for a prime p: the beta-set of length
+    len(parts) as a set, each bead b >= p tested for a free b - p.
+
+    The lowest beads are tested first, without the beta-set: a last part of
+    at least p is a horizontal p-hook in the last row, and p equal last parts
+    are a vertical one in the last p rows.
+    """
+    parts = lam.parts
+    L = len(parts)
+    if L and (parts[-1] >= p or (L >= p and parts[-p] == parts[-1])):
+        return False
+    beta = {x + L - i for i, x in enumerate(parts, 1)}
+    for b in beta:
+        if b >= p and b - p not in beta:
+            return False
+    return True
+
+
+def hh1_group_oracle_reference(p: int, n: int) -> int:
+    """dim HH^1(kS_n), each class scored in one pass over its runs of equal
+    parts: 1 if p divides the part, 1 more if p = 2 and it repeats."""
+    _check_prime(p)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    total = 0
+    for lam in partitions_of(n):
+        prev = prev2 = 0  # the two parts before a; parts are positive
+        for a in lam.parts:
+            if a != prev:
+                total += a % p == 0
+            elif p == 2 and a != prev2:
+                total += 1
+            prev2, prev = prev, a
+    return total
+
+
+def fit_phi_reference(
+    p: int, order: int, ctx: Optional[SeriesContext] = None
+) -> Optional[RationalFunction]:
+    """phi as the one (p+2, p+2) fit of (Y(t)/t) * Z(t)^(-1) on the whole
+    theorem3_min_order(p) prefix, or None."""
+    need = theorem3_min_order(p)
+    if order < need:
+        raise ValueError(
+            "order %d too small to overdetermine the (p+2, p+2) fit; need >= %d" % (order, need)
+        )
+    ctx = _context(p, order, ctx)
+    y, z = truncate(ctx.Y, need), truncate(ctx.Z, need)
+    if y[0] != 0:
+        return None
+    return rational_fit(series_mul(shift(y, -1), series_inv(z)), p + 2, p + 2)
 
 
 def series_mul_reference(a: Series, b: Series) -> Series:

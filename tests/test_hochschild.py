@@ -2,6 +2,7 @@ import logging
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from blockhh.hochschild import (
     SeriesContext,
@@ -10,6 +11,7 @@ from blockhh.hochschild import (
     hh1_block_series,
     hh1_group_series,
     phi_r1,
+    theorem3_min_order,
     verify_block_decomposition,
     verify_theorem2,
     verify_theorem3,
@@ -26,10 +28,13 @@ from blockhh.series import (
     series_add,
     series_inv,
     series_mul,
+    series_mul_ratio,
     shift,
     substitute_power,
     truncate,
 )
+
+import oracles
 
 
 def test_z_series_values():
@@ -176,6 +181,26 @@ def test_theorem3_fitted_phi():
     ctx = SeriesContext(3, 40)
     ctx.Y = Series((1,) + ctx.Y.coeffs[1:])  # a constant term: Y/t is no power series
     assert fit_phi(3, 40, ctx) is None
+
+
+@given(
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+    st.integers(0, 40),
+    st.integers(-3, 3).filter(bool),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=6),
+    st.lists(st.integers(-3, 3), max_size=6),
+)
+@example(p=3, k=10, delta=1, num=[1], den=[-1])  # a bump past the first rung's terms
+@settings(deadline=None)
+def test_phi_ladder_matches_the_full_fit(p, k, delta, num, den):
+    # Y from the data; bumped at t^k, inside the fitted prefix or in the three
+    # terms past it; and t phi Z for a drawn phi = num / (1 + den t + ...)
+    order = theorem3_min_order(p) + 3
+    data, bumped, drawn = (SeriesContext(p, order) for _ in range(3))
+    bumped.Y = Series(c + delta * (n == k % order) for n, c in enumerate(data.Y.coeffs))
+    drawn.Y = shift(series_mul_ratio(truncate(data.Z, order - 1), num, [1] + den), 1)
+    for ctx in (data, bumped, drawn):
+        assert fit_phi(p, order, ctx) == oracles.fit_phi_reference(p, order, ctx)
 
 
 def test_theorem3_detects_fault():

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, strategies as st
 
 from blockhh.blocks import blocks_of, dim_hh1
 from blockhh.oracle import hh1_group_oracle
@@ -67,6 +68,12 @@ def test_group_oracle_equals_per_class_definition(p):
             hom_to_Fp_dim(p, CycleType.from_partition(lam)) for lam in partitions_of(n)
         )
         assert hh1_group_oracle(p, n) == expected
+
+
+@given(st.integers(0, 22), st.sampled_from([2, 3, 5, 7, 11, 13, 23, 4294967291]))
+def test_group_oracle_matches_former_loop_and_per_class_definition(n, p):
+    expected = sum(hom_to_Fp_dim(p, CycleType.from_partition(lam)) for lam in partitions_of(n))
+    assert hh1_group_oracle(p, n) == oracles.hh1_group_oracle_reference(p, n) == expected
 
 
 def test_group_oracle_rejects_bad_input():

@@ -1,3 +1,5 @@
+from itertools import accumulate
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -5,6 +7,7 @@ from blockhh.partitions import (
     EMPTY,
     CoreQuotient,
     Partition,
+    _no_p_hook,
     beta_set,
     from_core_quotient,
     is_p_core,
@@ -113,6 +116,20 @@ def test_is_p_core_matches_p_core_and_strip_removal(p):
             assert is_p_core(lam, p) == fixed
             if n <= 14:
                 assert fixed == (not oracles.strip_removals(lam.parts, p))
+
+
+# parts from a wide and a narrow range, so runs of equal parts are common;
+# kept while the running size is at most 80
+sized_partitions = st.lists(st.integers(1, 80) | st.integers(1, 4), max_size=80).map(
+    lambda xs: Partition(sorted((x for x, s in zip(xs, accumulate(xs)) if s <= 80), reverse=True))
+)
+HOOK_PRIMES = [2, 3, 5, 7, 11, 13, 83, 4294967291]  # 83 is past every size drawn
+
+
+@given(sized_partitions, st.sampled_from(HOOK_PRIMES))
+def test_bitmask_core_test_matches_set_test_and_p_core(lam, p):
+    for mu in (lam, p_core(lam, p)):
+        assert _no_p_hook(mu, p) == oracles.no_p_hook_reference(mu, p) == (p_core(mu, p) == mu)
 
 
 def test_is_p_core_rejects_non_prime():
