@@ -17,7 +17,8 @@ Both read the count series Z = E(t)^(-p), whose t^w coefficient is
 z_w = rho(pw, empty); a caller listing many blocks passes Z in, built once.
 
 ``blocks_of`` checks p once, then filters candidates with ``_no_p_hook``;
-each ``BlockDescriptor`` checks p, its weight and its core once more.
+each ``BlockDescriptor`` checks p, its weight and its core once more, and
+``defect_order_exp`` checks p through ``sylow_exponent``.
 """
 
 from __future__ import annotations
@@ -34,11 +35,6 @@ def sylow_exponent(p: int, m: int) -> int:
     _check_prime(p)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    return _legendre(p, m)
-
-
-def _legendre(p: int, m: int) -> int:
-    """``sylow_exponent`` for a p already checked prime and m >= 0."""
     total = 0
     q = p
     while q <= m:
@@ -71,7 +67,7 @@ class BlockDescriptor(Record):
     @property
     def defect_order_exp(self) -> int:
         """The defect group order exponent: the p-adic valuation of (p*weight)!."""
-        return _legendre(self.p, self.p * self.weight)
+        return sylow_exponent(self.p, self.p * self.weight)
 
 
 def principal_block(p: int, weight: int) -> BlockDescriptor:

@@ -75,6 +75,7 @@ def _positive(text: str) -> int:
 
 
 def default_order() -> int:
+    """ORDER_ENV_VAR if set, else FALLBACK_ORDER; a bad value is a usage error."""
     raw = os.environ.get(ORDER_ENV_VAR)
     if raw is None:
         return FALLBACK_ORDER
@@ -85,8 +86,7 @@ def default_order() -> int:
     else:
         problem = "be positive, got %d" % v if v < 1 else None
     if problem:
-        print("blockhh: error: %s must %s" % (ORDER_ENV_VAR, problem), file=sys.stderr)
-        raise SystemExit(2)
+        raise ValueError("%s must %s" % (ORDER_ENV_VAR, problem))
     return v
 
 
@@ -103,19 +103,9 @@ def _int_coeff(c) -> int:
 
 def cmd_blocks(args, out) -> int:
     counts = euler_power(-args.p, args.n // args.p + 1)  # Z past every weight listed
-    rows = []
-    for b in blocks_mod.blocks_of(args.p, args.n):
-        rows.append(
-            {
-                "p": b.p,
-                "n": b.n,
-                "core": _core_str(b.core),
-                "weight": b.weight,
-                "defect_order_exp": b.defect_order_exp,
-                "dim_center": blocks_mod.dim_center(b, counts),
-                "dim_hh1": blocks_mod.dim_hh1(b, counts),
-            }
-        )
+    rows = [(b.p, b.n, _core_str(b.core), b.weight, b.defect_order_exp,
+             blocks_mod.dim_center(b, counts), blocks_mod.dim_hh1(b, counts))
+            for b in blocks_mod.blocks_of(args.p, args.n)]
     headers = ["p", "n", "core", "weight", "defect_order_exp", "dim_center", "dim_hh1"]
     tables.emit("blocks", {"p": args.p, "n": args.n}, headers, lambda: rows, args.format, out)
     return 0
@@ -148,17 +138,13 @@ def cmd_series(args, out) -> int:
         usage_error("argument --s: only meaningful for series 'Cs'")
     # every coefficient is checked, once, before anything is written
     coeffs = [_int_coeff(c) for c in _series_for(args.name, args.p, order, args.s).coeffs]
-
-    def rows():
-        for n, c in enumerate(coeffs):
-            yield {"exponent": n, "coefficient": c}
-
     params = {"name": args.name, "order": order}
     if args.p is not None:
         params["p"] = args.p
     if args.s is not None:
         params["s"] = args.s
-    tables.emit("series", params, ["exponent", "coefficient"], rows, args.format, out)
+    tables.emit("series", params, ["exponent", "coefficient"], lambda: enumerate(coeffs),
+                args.format, out)
     return 0
 
 
@@ -192,11 +178,11 @@ def cmd_oracle(args, out) -> int:
     for n in range(args.n_max + 1):
         o = oracle.hh1_group_oracle(args.p, n)
         f = _int_coeff(formula[n])
-        rows.append({"n": n, "oracle": o, "formula": f, "match": o == f})
+        rows.append((n, o, f, o == f))
     headers = ["n", "oracle", "formula", "match"]
     params = {"p": args.p, "n_max": args.n_max}
     tables.emit("oracle", params, headers, lambda: rows, args.format, out)
-    return 0 if all(r["match"] for r in rows) else 1
+    return 0 if all(match for *_, match in rows) else 1
 
 
 # The grammar (cmdline's format): subcommand, handler, help, options; an

@@ -21,10 +21,10 @@ of length len(parts).
 1998).  ``is_p_core`` is the no-p-hook test (James and Kerber, 2.7): no bead
 b of the beta-set has b - p >= 0 free.  With the beta-set as an int bitmask
 that is one test, ``not beads >> p & ~beads``.  ``p_core`` is its ground
-truth.  ``Partition(...)`` validates, but ``partitions_of`` and
-``partition_from_beta`` build valid parts and skip the checks.  ``is_p_core``
-checks p, then runs ``_no_p_hook``, which callers that have checked p call
-directly.
+truth.  A ``Partition`` stores its parts alone.  ``Partition(...)`` validates
+them; ``partitions_of`` and ``partition_from_beta`` build valid parts and skip
+the checks.  ``is_p_core`` checks p, then runs ``_no_p_hook``, which callers
+that have checked p call directly.
 
 ``rho`` reads one coefficient of the count series Z = E(t)^(-p), p-tuples of
 partitions by total size.  A caller that needs many passes Z in, built once;
@@ -41,9 +41,9 @@ from .series import Series, _check_prime, euler_power
 
 class Partition:
     """A weakly decreasing tuple of positive integers; the empty tuple is the
-    unique partition of 0."""
+    unique partition of 0.  ``size`` is the sum of the parts, not stored."""
 
-    __slots__ = ("parts", "size")
+    __slots__ = ("parts",)
 
     def __init__(self, parts: Iterable[int] = ()):
         parts = tuple(parts)
@@ -53,14 +53,17 @@ class Partition:
             if i and parts[i - 1] < x:
                 raise ValueError("parts must be weakly decreasing: %r" % (parts,))
         self.parts = parts
-        self.size = sum(parts)
 
     @classmethod
-    def _trusted(cls, parts: tuple, size: int) -> "Partition":
-        """A partition an internal producer built valid, and its size: no checks."""
+    def _trusted(cls, parts: tuple) -> "Partition":
+        """A partition from parts an internal producer built valid: no checks."""
         lam = object.__new__(cls)
-        lam.parts, lam.size = parts, size
+        lam.parts = parts
         return lam
+
+    @property
+    def size(self) -> int:
+        return sum(self.parts)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Partition):
@@ -113,7 +116,7 @@ def partitions_of(n: int) -> list[Partition]:
     x = [1] * n
     x[0] = n
     m, h = 1, 0
-    out = [Partition._trusted((n,), n)]
+    out = [Partition._trusted((n,))]
     append = out.append
     while x[0] != 1:
         if x[h] == 2:
@@ -131,7 +134,7 @@ def partitions_of(n: int) -> list[Partition]:
                 h += 1
                 x[h] = t
         lam = new(Partition)
-        lam.parts, lam.size = tuple(x[:m]), n
+        lam.parts = tuple(x[:m])
         append(lam)
     return out
 
@@ -162,7 +165,7 @@ def partition_from_beta(beta: Sequence[int]) -> Partition:
         raise ValueError("beta numbers must be distinct")
     parts = tuple(b[i] - (L - 1 - i) for i in range(L) if b[i] > L - 1 - i)
     if all(type(x) is int for x in parts):  # distinct nonnegative ints decode validly
-        return Partition._trusted(parts, sum(parts))
+        return Partition._trusted(parts)
     return Partition(parts)  # the public check rejects the non-integer part
 
 
@@ -249,9 +252,9 @@ def rho(n: int, core: Partition, p: int, Z: Optional[Series] = None) -> int:
     _check_prime(p)
     if p_core(core, p) != core:
         raise ValueError("core %r is not its own %d-core" % (core, p))
-    if n < core.size or (n - core.size) % p != 0:
+    w, r = divmod(n - core.size, p)
+    if w < 0 or r:
         return 0
-    w = (n - core.size) // p
     return _tuple_counts(p, w, Z)[w]
 
 

@@ -25,16 +25,30 @@ from typing import Iterable, Sequence, Union
 Coeff = Union[int, "Fraction"]
 
 
-# Trial division is exact and needs no tables; below this bound it takes at
-# most 2^16 steps, and no p this large has any use here.
+# Miller-Rabin to the bases 2, 7 and 61 is exact below 4,759,123,141
+# (Jaeschke, Math. Comp. 61, 1993), so this limit must stay below that bound;
+# no p this large has any use here.
 PRIME_LIMIT = 1 << 32
 
 
 def _check_prime(p: int) -> None:
     if p >= PRIME_LIMIT:
         raise ValueError("p must be below 2^32, got %d" % p)
-    if p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+    if p < 2 or p % 2 == 0 and p != 2:
         raise ValueError("p must be prime, got %d" % p)
+    d, s = p - 1, 0  # p - 1 = d * 2^s with d odd
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 7, 61):  # a strong probable-prime test to each base
+        x = pow(a, d, p)
+        if x == 0 or x == 1 or x == p - 1:  # x == 0: p is 2, 7 or 61, and divides a
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            raise ValueError("p must be prime, got %d" % p)
 
 
 def _coeff(x) -> Coeff:

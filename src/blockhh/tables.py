@@ -1,9 +1,9 @@
 """Tables written as they are rendered: aligned text, JSON or CSV.
 
 A table is a command name, its parameters, the column headers and the rows,
-each a dict keyed by the headers.  ``emit`` writes one row at a time and
-hands the text to the output stream in batches of about BATCH_CHARS, so
-nothing but the current batch is held.  The JSON is byte-identical to
+each its values in header order.  ``emit`` writes one row at a time and hands
+the text to the output stream in batches of about BATCH_CHARS, so nothing but
+the current batch is held.  The JSON is byte-identical to
 ``canonical_json`` of the whole document, the one definition of the format.
 ``json`` loads only for text that needs escaping, ``csv`` only for CSV.
 """
@@ -71,26 +71,26 @@ def _write_json(command: str, params: dict, headers: list[str], rows, out) -> No
     """``canonical_json`` of the whole document plus a newline, one row at a time.
 
     The document is ``{"command", "params", "rows"}``, keys sorted, so it is a
-    fixed head, each row from one template, and a fixed tail.
+    fixed head, each row from one template in sorted-header order, and a
+    fixed tail.
     """
-    keys = sorted(headers)
+    cols = sorted(range(len(headers)), key=headers.__getitem__)
     items = [(_json_value(k), _json_value(v)) for k, v in sorted(params.items())]
     head = "{%s\n  }" % ",".join("\n    %s: %s" % kv for kv in items) if items else "{}"
-    if not all(k[0] == '"' and "\n" not in v for k, v in items):  # a key json converts, or nesting
-        head = canonical_json(params).replace("\n", "\n  ")
     out.write('{\n  "command": %s,\n  "params": %s,\n  "rows": [' % (_json_value(command), head))
-    fields = ",".join('\n      %s: %%s' % _json_value(k).replace("%", "%%") for k in keys)
-    template = "\n    {%s\n    }" % fields if keys else "\n    {}"
+    fields = ",".join('\n      %s: %%s' % _json_value(headers[i]).replace("%", "%%") for i in cols)
+    template = "\n    {%s\n    }" % fields if cols else "\n    {}"
     sep = ""  # "," once a row is written
     for row in rows:
-        out.write(sep + template % tuple(_json_value(row[k]) for k in keys))
+        out.write(sep + template % tuple(_json_value(row[i]) for i in cols))
         sep = ","
     out.write("\n  ]\n}\n" if sep else "]\n}\n")
 
 
 def emit(command: str, params: dict, headers: list[str],
-         rows: Callable[[], Iterable[dict]], fmt: str, out) -> None:
-    """Write one table; ``rows()`` gives the rows afresh on every call.
+         rows: Callable[[], Iterable[tuple]], fmt: str, out) -> None:
+    """Write one table; ``rows()`` gives the rows afresh on every call, each
+    its values in header order.  ``params`` maps str keys to int or str values.
 
     Only the table format calls it twice: once for the column widths, once to
     render.  Everything is written through one batching writer.
@@ -104,16 +104,16 @@ def emit(command: str, params: dict, headers: list[str],
         writer = csv.writer(out)
         writer.writerow(headers)
         for row in rows():
-            writer.writerow([_cell(row[h]) for h in headers])
+            writer.writerow([_cell(v) for v in row])
     else:
         widths = [len(h) for h in headers]
         for row in rows():
-            widths = [max(w, len(_cell(row[h]))) for w, h in zip(widths, headers)]
+            widths = [max(w, len(_cell(v))) for w, v in zip(widths, row)]
 
         def line(cells):
             return "  ".join(c.rjust(w) for c, w in zip(cells, widths)).rstrip() + "\n"
 
         out.write(line(headers))
         for row in rows():
-            out.write(line([_cell(row[h]) for h in headers]))
+            out.write(line([_cell(v) for v in row]))
     out.flush()

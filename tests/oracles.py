@@ -12,12 +12,13 @@ own enumeration (ZS1, abacus cores) and are tested against the routes above.
 ``CycleType`` and ``hom_to_Fp_dim``, also formerly public, are the per-class
 definition that the package's oracle is tested against.
 
-Three more are the package's former kernels, unchanged: the no-p-hook test
-on the beta-set as a Python set (``no_p_hook_reference``, ground truth for
-the bitmask ``_no_p_hook``), the oracle's single run-length loop at every p
-(``hh1_group_oracle_reference``, for the set-intersection score at odd p),
-and the one (p+2, p+2) fit of the whole prefix (``fit_phi_reference``, for
-the degree ladder of ``fit_phi``).
+Four more are the package's former kernels, unchanged: the prime check by
+trial division (``is_prime_reference``, ground truth for the Miller-Rabin
+``_check_prime``), the no-p-hook test on the beta-set as a Python set
+(``no_p_hook_reference``, ground truth for the bitmask ``_no_p_hook``), the
+oracle's single run-length loop at every p (``hh1_group_oracle_reference``,
+for the set-intersection score at odd p), and the one (p+2, p+2) fit of the
+whole prefix (``fit_phi_reference``, for the degree ladder of ``fit_phi``).
 
 The next six are the package's former loops for the Cauchy product, the
 power, expansion, inversion, the full-system rational fit and J. C. P.
@@ -36,6 +37,7 @@ import csv
 import io
 from fractions import Fraction
 from functools import lru_cache
+from math import isqrt
 from typing import Optional
 
 from blockhh.blocks import BlockDescriptor
@@ -250,21 +252,18 @@ class CycleType(Record):
         return cls(tuple(sorted(mult.items())))
 
 
-@lru_cache(maxsize=None)
-def _checked_prime(p: int) -> int:
-    """p, once ``_check_prime`` accepts it: a prime near 2^32 costs 2^16
-    trial divisions, too many to repeat for every class."""
-    _check_prime(p)
-    return p
-
-
 def hom_to_Fp_dim(p: int, cycle_type: CycleType) -> int:
     """dim Hom(C(g), F_p) for g of the given cycle type, via the wreath formula."""
-    _checked_prime(p)
+    _check_prime(p)
     return sum(
         (1 if a % p == 0 else 0) + (1 if p == 2 and m >= 2 else 0)
         for a, m in cycle_type.multiplicities
     )
+
+
+def is_prime_reference(p: int) -> bool:
+    """Whether p is prime, by trial division up to its square root."""
+    return not (p < 2 or any(p % d == 0 for d in range(2, isqrt(p) + 1)))
 
 
 def no_p_hook_reference(lam: Partition, p: int) -> bool:

@@ -12,7 +12,7 @@ import oracles
 
 MOVED_TO_TESTS = {"count_pcores", "dim_center_oracle", "block_of_partition"}
 DELETED = {
-    "blocks": {"count_weight_blocks", "make_block"},
+    "blocks": {"count_weight_blocks", "make_block", "_legendre"},
     "oracle": {"CycleType", "hom_to_Fp_dim"},
     "Series": {"__str__"},
     "Partition": {"__lt__", "__len__", "__iter__"},

@@ -69,6 +69,15 @@ def test_enumerated_partitions_pass_the_public_check():
             assert _rechecked(lam).size == n
 
 
+def test_a_partition_stores_only_its_parts():
+    assert Partition.__slots__ == ("parts",)
+    with pytest.raises(AttributeError):
+        Partition((3, 1)).size = 5
+    for n in range(21):
+        for lam in partitions_of(n):
+            assert lam.size == sum(lam.parts) == n
+
+
 def test_partitions_count_matches_gf_and_enumeration():
     gf = partition_gf(31)
     for n in range(14):

@@ -5,7 +5,9 @@ from hypothesis import example, given, strategies as st
 
 from blockhh.rational import Polynomial, RationalFunction, expand
 from blockhh.series import (
+    PRIME_LIMIT,
     Series,
+    _check_prime,
     _pentagonal,
     euler_power,
     one,
@@ -433,3 +435,34 @@ def test_power_squares_and_multiplies(monkeypatch):
 def test_every_operation_guard_raises(operation, args, message):
     with pytest.raises(ValueError, match=message):
         operation(*args)
+
+
+def _accepted(n: int) -> bool:
+    try:
+        _check_prime(n)
+    except ValueError:
+        return False
+    return True
+
+
+def test_prime_check_agrees_with_trial_division_below_10_5():
+    for n in range(-5, 10**5):
+        assert _accepted(n) == oracles.is_prime_reference(n), n
+
+
+@pytest.mark.parametrize("n", [
+    2047, 3277, 4033, 4681, 8321,  # strong pseudoprimes to base 2
+    1373653,  # to bases 2 and 3
+    25326001,  # to bases 2, 3 and 5
+    3215031751,  # to bases 2, 3, 5 and 7
+    561, 1105, 1729, 2465,  # Carmichael numbers
+    65521 ** 2,  # the square of the largest prime below 2^16
+    4294967279, 4294967291, 4294967295,  # near the limit
+])
+def test_prime_check_on_hard_cases(n):
+    assert _accepted(n) == oracles.is_prime_reference(n)
+
+
+@given(st.integers(-5, PRIME_LIMIT - 1))
+def test_prime_check_agrees_with_trial_division_below_the_limit(n):
+    assert _accepted(n) == oracles.is_prime_reference(n)
