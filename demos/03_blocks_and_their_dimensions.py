@@ -7,7 +7,7 @@ Hochschild cohomology dimension is a partial sum over smaller principal-block
 centers, and is positive exactly when the defect is nontrivial.
 """
 
-from blockhh import blocks_of, dim_center, dim_hh1, hh1_block_series
+from blockhh import Z_series, blocks_of, dim_center, dim_hh1, hh1_block_series
 
 p, n = 3, 10
 print("Blocks of kS_%d at p = %d:" % (n, p))
@@ -26,6 +26,6 @@ for b in blocks_of(p, n):
 
 print("\ndim HH1 depends only on (p, weight); by weight it grows like so:")
 for p in (2, 3, 5):
-    y = hh1_block_series(p, 9)
+    y = hh1_block_series(p, Z_series(p, 9))
     print("  p=%d: %s" % (p, list(y.coeffs)))
 print("(weight 0 blocks are simple: the 0 column; every other entry is positive)")

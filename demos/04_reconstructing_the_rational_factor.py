@@ -8,12 +8,9 @@ g(t^m) -> g(t).
 """
 
 from blockhh import (
-    Z_series,
+    SeriesContext,
     descend,
     fit_phi,
-    hh1_block_series,
-    hh1_group_series,
-    partition_gf,
     rational_fit,
     series_inv,
     series_mul,
@@ -22,17 +19,15 @@ from blockhh import (
 from blockhh.rational import RationalFunction
 
 for p in (2, 3, 5):
-    order = 60
-    y = hh1_block_series(p, order)
-    z = Z_series(p, order)
-    ratio = series_mul(shift(y, -1), series_inv(z))
+    ctx = SeriesContext(p, 60)  # P, Z, Y and the group series, each built once
+    ratio = series_mul(shift(ctx.Y, -1), series_inv(ctx.Z))
     print("p = %d" % p)
     print("  first coefficients of Y/t * Z^(-1):", list(ratio.coeffs[:8]))
 
-    phi = fit_phi(p, order)
+    phi = fit_phi(p, ctx.Y, ctx.Z)
     print("  fitted phi =", phi)
 
-    group_ratio = series_mul(hh1_group_series(p, order), series_inv(partition_gf(order)))
+    group_ratio = series_mul(ctx.group, series_inv(ctx.P))
     lifted = rational_fit(group_ratio, 2 * p + 2, 2 * p + 2)
     print("  fitted group-level factor =", lifted)
 

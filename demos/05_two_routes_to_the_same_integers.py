@@ -6,11 +6,17 @@ structure of centralizers.  The two columns below are computed by code that
 shares nothing but the partition type.
 """
 
-from blockhh import hh1_group_oracle, hh1_group_series, verify_block_decomposition
+from blockhh import (
+    SeriesContext,
+    hh1_group_oracle,
+    hh1_group_series,
+    partition_gf,
+    verify_block_decomposition,
+)
 
 for p in (2, 3, 5):
     n_max = 14
-    formula = hh1_group_series(p, n_max + 1)
+    formula = hh1_group_series(p, partition_gf(n_max + 1))
     print("p = %d" % p)
     print("  %3s %10s %10s" % ("n", "series", "oracle"))
     for n in range(n_max + 1):
@@ -23,5 +29,6 @@ for p in (2, 3, 5):
 
 print("And the residue-class factorizations, verified to order 40:")
 for p in (2, 3):
+    ctx = SeriesContext(p, 40)
     for s in range(p):
-        print(" ", verify_block_decomposition(p, s, 40))
+        print(" ", verify_block_decomposition(ctx, s))

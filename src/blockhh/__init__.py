@@ -23,8 +23,8 @@ _EXPORTS = (
     ("rational", ("Polynomial", "RationalFunction", "descend", "expand", "rational_fit")),
     ("blocks", ("BlockDescriptor", "blocks_of", "dim_center", "dim_hh1", "principal_block",
                 "sylow_exponent")),
-    ("hochschild", ("VerificationReport", "Z_series", "fit_phi", "hh1_block_series",
-                    "hh1_group_series", "phi_r1", "verify_block_decomposition",
+    ("hochschild", ("SeriesContext", "VerificationReport", "Z_series", "fit_phi",
+                    "hh1_block_series", "hh1_group_series", "phi_r1", "verify_block_decomposition",
                     "verify_theorem2", "verify_theorem3", "y1_formula")),
     ("oracle", ("hh1_group_oracle",)),
     ("tables", ()),

@@ -18,7 +18,7 @@ rendered, in batches of about 64 KiB, so a dump's memory does not grow with
 its length; every value is checked before the first byte is written.  Exit
 codes: 0 success or all identities verified, 1 a verification/comparison
 failure (or stdout closed by its reader, which ends the run without a
-traceback), 2 usage error.
+traceback), 2 usage error or a request too large for the memory available.
 """
 
 from __future__ import annotations
@@ -101,13 +101,24 @@ def _int_coeff(c) -> int:
     return as_int
 
 
+class _Enumerated:
+    """The rows (n, values[n]), each made as it is read: a series table, which
+    the table format reads twice, holds no more than its coefficients."""
+
+    def __init__(self, values: list):
+        self.values = values
+
+    def __iter__(self):
+        return enumerate(self.values)
+
+
 def cmd_blocks(args, out) -> int:
     counts = euler_power(-args.p, args.n // args.p + 1)  # Z past every weight listed
     rows = [(b.p, b.n, _core_str(b.core), b.weight, b.defect_order_exp,
              blocks_mod.dim_center(b, counts), blocks_mod.dim_hh1(b, counts))
             for b in blocks_mod.blocks_of(args.p, args.n)]
     headers = ["p", "n", "core", "weight", "defect_order_exp", "dim_center", "dim_hh1"]
-    tables.emit("blocks", {"p": args.p, "n": args.n}, headers, lambda: rows, args.format, out)
+    tables.emit("blocks", {"p": args.p, "n": args.n}, headers, rows, args.format, out)
     return 0
 
 
@@ -117,9 +128,9 @@ def _series_for(name: str, p, order: int, s) -> Series:
     if name == "Z":
         return hh.Z_series(p, order)
     if name == "Y":
-        return hh.hh1_block_series(p, order)
+        return hh.hh1_block_series(p, hh.Z_series(p, order))
     if name == "HH1group":
-        return hh.hh1_group_series(p, order)
+        return hh.hh1_group_series(p, partition_gf(order))
     return section(pcore_count_gf(p, p * (order - 1) + s + 1), p, s)  # to t^(p(order-1)+s)
 
 
@@ -143,8 +154,8 @@ def cmd_series(args, out) -> int:
         params["p"] = args.p
     if args.s is not None:
         params["s"] = args.s
-    tables.emit("series", params, ["exponent", "coefficient"], lambda: enumerate(coeffs),
-                args.format, out)
+    tables.emit("series", params, ["exponent", "coefficient"], _Enumerated(coeffs), args.format,
+                out)
     return 0
 
 
@@ -162,18 +173,18 @@ def cmd_verify(args, out) -> int:
         out.write("%s\n" % report)
 
     if args.which in ("thm2", "all"):
-        run(hh.verify_theorem2(p, max(1, order // 2), inject_fault=fault, ctx=ctx))
+        run(hh.verify_theorem2(ctx, max(1, order // 2), inject_fault=fault))
     if args.which in ("thm3", "all"):
-        run(hh.verify_theorem3(p, order, inject_fault=fault, ctx=ctx))
+        run(hh.verify_theorem3(ctx, inject_fault=fault))
         out.write("fitted phi = %s\n" % ctx.phi)
     if args.which in ("eq12", "all"):
         for s in range(p):
-            run(hh.verify_block_decomposition(p, s, order, inject_fault=fault, ctx=ctx))
+            run(hh.verify_block_decomposition(ctx, s, inject_fault=fault))
     return 0 if all(r.holds for r in reports) else 1
 
 
 def cmd_oracle(args, out) -> int:
-    formula = hh.hh1_group_series(args.p, args.n_max + 1)
+    formula = hh.hh1_group_series(args.p, partition_gf(args.n_max + 1))
     rows = []
     for n in range(args.n_max + 1):
         o = oracle.hh1_group_oracle(args.p, n)
@@ -181,7 +192,7 @@ def cmd_oracle(args, out) -> int:
         rows.append((n, o, f, o == f))
     headers = ["n", "oracle", "formula", "match"]
     params = {"p": args.p, "n_max": args.n_max}
-    tables.emit("oracle", params, headers, lambda: rows, args.format, out)
+    tables.emit("oracle", params, headers, rows, args.format, out)
     return 0 if all(match for *_, match in rows) else 1
 
 
@@ -225,6 +236,9 @@ def main(argv: Iterable[str] | None = None, out=None) -> int:
     run = next(handler for command, handler, *_ in GRAMMAR if command == args.command)
     try:
         return run(args, out if out is not None else sys.stdout)
+    except MemoryError:  # a request too large to hold is refused like a bad argument
+        print("blockhh: error: the request needs more memory than is available", file=sys.stderr)
+        return 2
     except (ValueError, RuntimeError) as exc:
         # ValueError is a usage error; RuntimeError an arithmetic or output invariant that failed
         print("blockhh: error: %s" % exc, file=sys.stderr)

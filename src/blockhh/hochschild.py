@@ -24,7 +24,8 @@ series prefix, and thm3 alone compares it, to the full order, with the data
 and the closed form (2/(1-t) for p = 2, 1/(1-t) for p >= 3), so a
 transcription error in either route fails, and so does a failed fit (None).
 Each identity is compared in one place, the verifier that reports it, and
-every verifier ends in _verdict; the builders return one route each.
+every verifier ends in _verdict; the builders return one route each, from
+the series given them, and a SeriesContext builds each series once for them.
 Every product is the one sparse recurrence series_mul_ratio: directly for a
 closed form or a fitted phi (phi, the group factor, t^p phi(t^p), the check
 of each rung of the phi fit), through series_mul for eq12
@@ -108,79 +109,69 @@ def phi_r1(p: int) -> rational.RationalFunction:
 
 
 class SeriesContext:
-    """P, Z, Y (from that Z), the group series and the core-count sections for
-    one prime, each built at most once, on first use, to max(order, 2): eq12
-    reads Z, Y and C_s only to its section length, at most the order, and thm2
-    at order 1 reads weight 1.  phi is fitted once, on fit_phi's prefix, and is
-    None when no fit exists."""
+    """p, the order the verifiers report, and the series they read, each built
+    once, on first use.  P, Z and the core-count sections reach max(order, 2):
+    eq12 reads Z, Y and C_s only to its section length, at most the order, and
+    thm2 at order 1 reads weight 1.  Y, the group series and phi are built from
+    them; phi is fitted on fit_phi's prefix, and is None when no fit exists."""
 
     def __init__(self, p: int, order: int):
         _check_prime(p)
         if order < 1:
             raise ValueError("order must be positive")
-        self.p = p
-        self.order = max(order, 2)
+        self.p, self.order = p, order
+        self._built_to = max(order, 2)
 
     @cached_property
     def P(self) -> Series:
-        return partition_gf(self.order)
+        return partition_gf(self._built_to)
 
     @cached_property
     def Z(self) -> Series:
-        return Z_series(self.p, self.order)
+        return Z_series(self.p, self._built_to)
 
     @cached_property
     def Y(self) -> Series:
-        return hh1_block_series(self.p, self.order, self)
+        return hh1_block_series(self.p, self.Z)
 
     @cached_property
     def group(self) -> Series:
-        return hh1_group_series(self.p, self.order, self)
+        return hh1_group_series(self.p, self.P)
 
     @cached_property
     def core_sections(self) -> tuple[Series, ...]:
         """C_s for s = 0..p-1, the p-sections of the core counts to the order."""
-        cores = pcore_count_gf(self.p, self.order)
+        cores = pcore_count_gf(self.p, self._built_to)
         return tuple(section(cores, self.p, s) for s in range(self.p))
 
     @cached_property
     def phi(self) -> Optional[rational.RationalFunction]:
-        return fit_phi(self.p, self.order, self)
+        return fit_phi(self.p, self.Y, self.Z)
 
 
-def _context(p: int, order: int, ctx: Optional[SeriesContext]) -> SeriesContext:
-    if ctx is None:
-        return SeriesContext(p, order)
-    if ctx.p != p or not 1 <= order <= ctx.order:
-        raise ValueError("context for p=%d to order %d cannot serve p=%d, order %d"
-                         % (ctx.p, ctx.order, p, order))
-    return ctx
-
-
-def hh1_block_series(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Series:
-    """Y(t): coefficient w is the HH^1 dimension of any weight-w block.
+def hh1_block_series(p: int, Z: Series) -> Series:
+    """Y(t) to Z's order: coefficient w is the HH^1 dimension of any weight-w block.
 
     The block formula, y_w = (2 if p = 2 else 1) * (z_0 + ... + z_(w-1)): the
     HH^1 of a block is a sum of smaller centers.  fit_phi discovers phi from
-    it, and thm3 compares it with t phi Z.  Z is read from ``ctx`` when given.
+    it, and thm3 compares it with t phi Z.
     """
-    z = truncate(_context(p, order, ctx).Z, order - 1)
+    _check_prime(p)
     factor = blocks._hh1_factor(p)
-    return Series(factor * partial for partial in accumulate(z.coeffs, initial=0))
+    return Series(factor * partial for partial in accumulate(Z.coeffs[:-1], initial=0))
 
 
-def hh1_group_series(p: int, order: int, ctx: Optional[SeriesContext] = None) -> Series:
-    """sum_n dim HH^1(kS_n) t^n: the closed-form factor 2t^2/(1-t^2) (p = 2)
-    or t^p/(1-t^p) (p >= 3) applied to the partition series.
+def hh1_group_series(p: int, P: Series) -> Series:
+    """sum_n dim HH^1(kS_n) t^n to P's order: the closed-form factor 2t^2/(1-t^2)
+    (p = 2) or t^p/(1-t^p) (p >= 3) applied to the partition series P.
 
     thm3 compares it with the substitution route t^p phi(t^p) P(t), and the
-    oracle with the class enumeration.  The partition series is read from
-    ``ctx`` when given.
+    oracle with the class enumeration.
     """
-    gf = truncate(_context(p, order, ctx).P, order)
+    _check_prime(p)
     lead = 2 if p == 2 else 1
-    k = min(p, order)  # t^p is 0 to the order when p >= order
-    return series_mul_ratio(gf, (0,) * k + (lead,), (1,) + (0,) * (k - 1) + (-1,))
+    k = min(p, P.order)  # t^p is 0 to the order when p >= order
+    return series_mul_ratio(P, (0,) * k + (lead,), (1,) + (0,) * (k - 1) + (-1,))
 
 
 def theorem3_min_order(p: int) -> int:
@@ -188,9 +179,7 @@ def theorem3_min_order(p: int) -> int:
     return max(20, 2 * p + 7)
 
 
-def fit_phi(
-    p: int, order: int, ctx: Optional[SeriesContext] = None
-) -> Optional[rational.RationalFunction]:
+def fit_phi(p: int, Y: Series, Z: Series) -> Optional[rational.RationalFunction]:
     """Reconstruct phi from series data alone: fit (Y(t)/t) * Z(t)^(-1), or None.
 
     Reads Y and Z only to theorem3_min_order(p), which overdetermines degree
@@ -198,15 +187,15 @@ def fit_phi(
     uniqueness), and thm3 checks it to the full order.  Bounds d = 1, 2, 4, ...
     below p+2 fit 2d+2 terms, kept only if Y = t phi Z on the whole prefix;
     the last rung fits it all.  None when Y has a constant term or nothing
-    matches.  Y and Z are read from ``ctx`` when given.
+    matches.
     """
-    need = theorem3_min_order(p)
+    _check_prime(p)
+    need, order = theorem3_min_order(p), min(Y.order, Z.order)
     if order < need:
         raise ValueError(
             "order %d too small to overdetermine the (p+2, p+2) fit; need >= %d" % (order, need)
         )
-    ctx = _context(p, order, ctx)
-    y, z = truncate(ctx.Y, need), truncate(ctx.Z, need)
+    y, z = truncate(Y, need), truncate(Z, need)
     if y[0] != 0:
         return None
     y_t, z_t = shift(y, -1), truncate(z, need - 1)
@@ -220,9 +209,8 @@ def fit_phi(
     return rational.rational_fit(series_mul(y_t, series_inv(z)), p + 2, p + 2)
 
 
-def verify_block_decomposition(
-    p: int, s: int, order: int, inject_fault: bool = False, ctx: Optional[SeriesContext] = None
-) -> VerificationReport:
+def verify_block_decomposition(ctx: SeriesContext, s: int,
+                               inject_fault: bool = False) -> VerificationReport:
     """Check the residue-s factorizations of the group center and HH^1 series.
 
     Left sides are computed without block theory (partition counts; the
@@ -230,10 +218,9 @@ def verify_block_decomposition(
     t^s Y(t^p) C_s(t^p).  Both are compared on s-th p-sections, section(P, p, s)
     against Z C_s, to m = ceil((order - s) / p) terms; a mismatch at section
     index k is reported at t^(pk + s).  ``inject_fault`` bumps C_s[1], a
-    self-test that the comparison actually bites.  Series are read from ``ctx``
-    when given.
+    self-test that the comparison actually bites.
     """
-    ctx = _context(p, order, ctx)
+    p, order = ctx.p, ctx.order
     if not 0 <= s < p:
         raise ValueError("residue %d out of range 0..%d" % (s, p - 1))
     lhs = section(truncate(ctx.P, order), p, s)
@@ -248,9 +235,7 @@ def verify_block_decomposition(
     return _verdict("eq12:s=%d" % s, p, order, comparisons())
 
 
-def verify_theorem3(
-    p: int, order: int, inject_fault: bool = False, ctx: Optional[SeriesContext] = None
-) -> VerificationReport:
+def verify_theorem3(ctx: SeriesContext, inject_fault: bool = False) -> VerificationReport:
     """Check Y(t) = t phi(t) Z(t) and the group series = t^p phi(t^p) P(t),
     with phi reconstructed by rational fitting rather than assumed.  Once the
     fit equals the closed form, the group check is the one comparison of the
@@ -258,14 +243,14 @@ def verify_theorem3(
 
     Also checks y_0 = 0, y_1 against the weight-1 dimension and the fitted
     phi against the closed form; with Y = t phi Z and z_0 = 1, phi(0) = y_1.
-    Requires order >= theorem3_min_order(p).  phi is the context's prefix
-    fit; when there is none, Y is compared with t phi_r1 Z, which locates the
-    first coefficient where Y leaves that form.  ``inject_fault`` corrupts
-    one Y coefficient after fitting.
+    Requires a context order >= theorem3_min_order(p).  phi is the context's
+    prefix fit; when there is none, Y is compared with t phi_r1 Z, which
+    locates the first coefficient where Y leaves that form.  ``inject_fault``
+    corrupts one Y coefficient after fitting.
     """
+    p, order = ctx.p, ctx.order
     if order < theorem3_min_order(p):
         raise ValueError("order %d too small; need >= %d" % (order, theorem3_min_order(p)))
-    ctx = _context(p, order, ctx)
     y = truncate(ctx.Y, order)
     phi_hat = ctx.phi or phi_r1(p)
     if inject_fault:
@@ -282,24 +267,23 @@ def verify_theorem3(
     return _verdict("thm3", p, order, comparisons())
 
 
-def verify_theorem2(
-    p: int, max_weight: int, inject_fault: bool = False, ctx: Optional[SeriesContext] = None
-) -> VerificationReport:
+def verify_theorem2(ctx: SeriesContext, max_weight: int,
+                    inject_fault: bool = False) -> VerificationReport:
     """Check the weight-partial-sum formula for HH^1 dimensions, three ways.
 
     For every weight w <= max_weight the block value must equal the partial
     sums over rho(pj, empty) and over principal-block center dimensions
-    (doubled when p = 2), and the coefficient of Y(t), read from ``ctx`` when
-    given.  The report's order field records max_weight.
+    (doubled when p = 2), and the coefficient of the context's Y, which must
+    reach t^max_weight.  The report's order field records max_weight.
 
     The block side reads a count series E(t)^(-p) built here, not ctx.Z, and
     compares up to 12 leading terms with P^p before it builds the block routes.
     Y is built from ctx.Z, thm3 sees only their ratio, and eq12 reads ctx.Z
     only to order/p: past that, a fault in Z_series shows here alone.
     """
+    p = ctx.p
     if max_weight < 1:
         raise ValueError("max_weight must be positive")
-    ctx = _context(p, max_weight + 1, ctx)
     y = truncate(ctx.Y, max_weight + 1)
     counts = euler_power(-p, max_weight + 1)
     guard = min(max_weight + 1, 12)

@@ -10,7 +10,7 @@ the current batch is held.  The JSON is byte-identical to
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 BATCH_CHARS = 1 << 16  # text handed to the output stream per write
 
@@ -87,33 +87,34 @@ def _write_json(command: str, params: dict, headers: list[str], rows, out) -> No
     out.write("\n  ]\n}\n" if sep else "]\n}\n")
 
 
-def emit(command: str, params: dict, headers: list[str],
-         rows: Callable[[], Iterable[tuple]], fmt: str, out) -> None:
-    """Write one table; ``rows()`` gives the rows afresh on every call, each
-    its values in header order.  ``params`` maps str keys to int or str values.
+def emit(command: str, params: dict, headers: list[str], rows: Iterable[tuple], fmt: str,
+         out) -> None:
+    """Write one table, each row its values in header order.  ``params`` maps
+    str keys to int or str values.
 
-    Only the table format calls it twice: once for the column widths, once to
-    render.  Everything is written through one batching writer.
+    The table format reads ``rows`` twice, once for the column widths and once
+    to render, so it is a list or another iterable that is not an iterator.
+    Everything is written through one batching writer.
     """
     out = _Batched(out)
     if fmt == "json":
-        _write_json(command, params, headers, rows(), out)
+        _write_json(command, params, headers, rows, out)
     elif fmt == "csv":
         import csv
 
         writer = csv.writer(out)
         writer.writerow(headers)
-        for row in rows():
+        for row in rows:
             writer.writerow([_cell(v) for v in row])
     else:
         widths = [len(h) for h in headers]
-        for row in rows():
+        for row in rows:
             widths = [max(w, len(_cell(v))) for w, v in zip(widths, row)]
 
         def line(cells):
             return "  ".join(c.rjust(w) for c, w in zip(cells, widths)).rstrip() + "\n"
 
         out.write(line(headers))
-        for row in rows():
+        for row in rows:
             out.write(line([_cell(v) for v in row]))
     out.flush()

@@ -41,7 +41,7 @@ from math import isqrt
 from typing import Optional
 
 from blockhh.blocks import BlockDescriptor
-from blockhh.hochschild import SeriesContext, _context, theorem3_min_order
+from blockhh.hochschild import theorem3_min_order
 from blockhh.partitions import Partition, _check_prime, is_p_core, p_core, partitions_of
 from blockhh.rational import Polynomial, RationalFunction, _solve_exact, rational_fit
 from blockhh.record import Record
@@ -303,18 +303,15 @@ def hh1_group_oracle_reference(p: int, n: int) -> int:
     return total
 
 
-def fit_phi_reference(
-    p: int, order: int, ctx: Optional[SeriesContext] = None
-) -> Optional[RationalFunction]:
+def fit_phi_reference(p: int, Y: Series, Z: Series) -> Optional[RationalFunction]:
     """phi as the one (p+2, p+2) fit of (Y(t)/t) * Z(t)^(-1) on the whole
     theorem3_min_order(p) prefix, or None."""
-    need = theorem3_min_order(p)
+    need, order = theorem3_min_order(p), min(Y.order, Z.order)
     if order < need:
         raise ValueError(
             "order %d too small to overdetermine the (p+2, p+2) fit; need >= %d" % (order, need)
         )
-    ctx = _context(p, order, ctx)
-    y, z = truncate(ctx.Y, need), truncate(ctx.Z, need)
+    y, z = truncate(Y, need), truncate(Z, need)
     if y[0] != 0:
         return None
     return rational_fit(series_mul(shift(y, -1), series_inv(z)), p + 2, p + 2)

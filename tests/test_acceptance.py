@@ -11,10 +11,10 @@ import time
 
 from blockhh.blocks import blocks_of, dim_hh1, principal_block
 from blockhh.hochschild import (
+    SeriesContext,
     Z_series,
     fit_phi,
     hh1_block_series,
-    hh1_group_series,
     phi_r1,
     verify_block_decomposition,
     verify_theorem3,
@@ -69,7 +69,7 @@ def test_criterion_2_weight_formula():
     failures = []
     for p in PRIMES:
         factor = 2 if p == 2 else 1
-        y = hh1_block_series(p, 21)
+        y = hh1_block_series(p, Z_series(p, 21))
         partial = 0
         for w in range(21):
             block_value = dim_hh1(principal_block(p, w))
@@ -88,7 +88,7 @@ def test_criterion_3_nonvanishing():
     t0 = time.time()
     failures = []
     for p in PRIMES:
-        y = hh1_block_series(p, 201)
+        y = hh1_block_series(p, Z_series(p, 201))
         for w in range(1, 201):
             if not y[w] > 0:
                 failures.append((p, w, y[w]))
@@ -99,10 +99,11 @@ def test_criterion_4_rational_factorization():
     t0 = time.time()
     failures = []
     for p in PRIMES:
-        rep = verify_theorem3(p, 60)
+        ctx = SeriesContext(p, 60)
+        rep = verify_theorem3(ctx)
         if not rep.holds:
             failures.append((p, rep.first_discrepancy))
-        fitted = fit_phi(p, 60)
+        fitted = fit_phi(p, ctx.Y, ctx.Z)
         if fitted != phi_r1(p) or fitted.num(0) != y1_formula(p, 1):
             failures.append((p, str(fitted)))
     report(4, "fitted phi and both identities", failures, t0)
@@ -112,8 +113,9 @@ def test_criterion_5_residue_decomposition():
     t0 = time.time()
     failures = []
     for p in PRIMES:
+        ctx = SeriesContext(p, 40)
         for s in range(p):
-            rep = verify_block_decomposition(p, s, 40)
+            rep = verify_block_decomposition(ctx, s)
             if not rep.holds:
                 failures.append((p, s, rep.first_discrepancy))
     # coefficient-level restatement: p(pn+s) = sum_w z_pw * c(p(n-w)+s),
@@ -150,9 +152,10 @@ def test_criterion_6_descent():
             failures.append((m, str(g)))
         trials += 1
     for p in PRIMES:
-        phi_hat = fit_phi(p, 60)
+        ctx = SeriesContext(p, 60)
+        phi_hat = fit_phi(p, ctx.Y, ctx.Z)
         t_phi = RationalFunction(phi_hat.num.shift(1), phi_hat.den)
-        ratio = series_mul(hh1_group_series(p, 60), series_inv(partition_gf(60)))
+        ratio = series_mul(ctx.group, series_inv(ctx.P))
         group_factor = rational_fit(ratio, 2 * p + 2, 2 * p + 2)
         if group_factor is None or descend(group_factor, p) != t_phi:
             failures.append((p, "group factor does not descend to block factor"))
@@ -188,7 +191,7 @@ def test_criterion_8_weight_one_table():
             expected = 2 if congruent else 1
             if y1_formula(p, r) != expected:
                 failures.append((p, r))
-        if hh1_block_series(p, 2)[1] != y1_formula(p, 1):
+        if hh1_block_series(p, Z_series(p, 2))[1] != y1_formula(p, 1):
             failures.append((p, "series coefficient 1"))
     report(8, "weight-one dimension table", failures, t0)
 

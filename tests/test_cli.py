@@ -146,7 +146,7 @@ def test_nonprime_p_rejected_with_diagnostic(capsys):
     assert "--p" in err and "9 is not prime" in err
 
 
-def launch(argv):
+def launch(argv, **options):
     """A fresh ``python -m blockhh.cli`` process on ``argv``, given at most 60 s."""
     import os
     import subprocess
@@ -155,7 +155,8 @@ def launch(argv):
 
     src = os.path.dirname(os.path.dirname(blockhh.__file__))
     return subprocess.run([sys.executable, "-m", "blockhh.cli"] + argv, capture_output=True,
-                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src))
+                          text=True, timeout=60, env=dict(os.environ, PYTHONPATH=src),
+                          **options)
 
 
 def test_huge_p_is_refused_before_any_trial_division():
@@ -191,6 +192,37 @@ def test_group_series_at_the_largest_prime_is_zero_to_the_order(argv, column, le
 def test_largest_prime_builds_only_what_is_printed(argv, stdout):
     proc = launch(argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, stdout, "")
+
+
+MEMORY_ERROR = "blockhh: error: the request needs more memory than is available\n"
+
+
+def test_memory_error_exits_two_with_one_line(monkeypatch, capsys):
+    from blockhh import hochschild as hh
+
+    def too_large(p, P):
+        raise MemoryError
+
+    monkeypatch.setattr(hh, "hh1_group_series", too_large)
+    assert run(["oracle", "--p", "3", "--n-max", "5"]) == (2, "")
+    assert capsys.readouterr().err == MEMORY_ERROR
+
+
+@pytest.mark.parametrize("argv", [
+    # the core counts to t^(p(order - 1) + s) and the partition series to
+    # t^(n_max + 1) are lists far larger than the address space allowed
+    ["series", "--name", "Cs", "--p", "4294967291", "--s", "3"],
+    ["oracle", "--p", "65521", "--n-max", "4294967296"],
+    ["oracle", "--p", "31", "--n-max", "4294967296"],
+])
+def test_request_past_the_address_space_exits_two_without_traceback(argv):
+    import resource
+
+    def limit():  # runs in the child alone
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = launch(argv, preexec_fn=limit)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", MEMORY_ERROR)
 
 
 def test_largest_prime_below_the_limit_is_accepted():
@@ -338,17 +370,44 @@ def test_verify_shared_context_matches_fresh_verifiers(monkeypatch, p, fault):
         assert code == (0 if all(report.holds for *_, report in calls) else 1)
         if which == "all" or not fault:
             assert code == (1 if fault else 0)
-        assert len({id(kwargs["ctx"]) for _, _, kwargs, _ in calls}) == 1
-        for verifier, args, kwargs, report in calls:
-            assert verifier(*args, **dict(kwargs, ctx=None)) == report
+        assert len({id(ctx) for _, (ctx, *_), _, _ in calls}) == 1
+        for verifier, (ctx, *args), kwargs, report in calls:
+            assert (ctx.p, ctx.order) == (p, order)
+            assert verifier(hh.SeriesContext(p, order), *args, **kwargs) == report
+
+
+def test_one_verify_run_builds_each_shared_series_once(monkeypatch):
+    import importlib
+
+    from blockhh import hochschild
+
+    # partition_gf: the context's P and thm2's 12-term guard; euler_power: Z,
+    # thm2's count series, the core counts and the two partition series
+    expected = {"Z_series": 1, "hh1_block_series": 1, "hh1_group_series": 1, "fit_phi": 1,
+                "pcore_count_gf": 1, "partition_gf": 2, "euler_power": 5}
+    calls = dict.fromkeys(expected, 0)
+    modules = [importlib.import_module("blockhh." + name)
+               for name in ("series", "partitions", "rational", "blocks", "hochschild", "cli")]
+    for name in expected:
+        original = getattr(hochschild, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in modules:  # every binding, so calls within a module count too
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    assert run(["verify", "--which", "all", "--p", "3", "--order", "30"])[0] == 0
+    assert calls == expected
 
 
 @pytest.mark.parametrize("which", ["thm3", "eq12", "all"])
 def test_group_series_fault_fails_where_it_is_compared(monkeypatch, which):
     from blockhh import hochschild as hh
 
-    def bumped(p, order, ctx=None, _built=hh.hh1_group_series):
-        good = _built(p, order, ctx).coeffs
+    def bumped(p, P, _built=hh.hh1_group_series):
+        good = _built(p, P).coeffs
         return Series(good[:7] + (good[7] + 1,) + good[8:])
 
     monkeypatch.setattr(hh, "hh1_group_series", bumped)
@@ -384,8 +443,8 @@ def test_z_fault_past_the_sections_fails_in_thm2(monkeypatch):
 def bump_block_series_at(monkeypatch, k):
     from blockhh import hochschild as hh
 
-    def bumped(p, order, ctx=None, _built=hh.hh1_block_series):
-        good = _built(p, order, ctx).coeffs
+    def bumped(p, Z, _built=hh.hh1_block_series):
+        good = _built(p, Z).coeffs
         return Series(good[:k] + (good[k] + 1,) + good[k + 1:])
 
     monkeypatch.setattr(hh, "hh1_block_series", bumped)
@@ -558,7 +617,7 @@ def _former_rendering(monkeypatch, argv):
     rendered = []
 
     def render(command, params, headers, rows, fmt, out):
-        dicts = [dict(zip(headers, row)) for row in rows()]
+        dicts = [dict(zip(headers, row)) for row in rows]
         rendered.append(oracles.render_reference(command, params, headers, dicts, fmt))
 
     with monkeypatch.context() as m:
@@ -628,7 +687,7 @@ def test_emit_matches_the_former_renderer(table, fmt):
     command, params, headers, rows = table
     out = io.StringIO()
     tuples = [tuple(row[h] for h in headers) for row in rows]
-    tables.emit(command, params, headers, lambda: tuples, fmt, out)
+    tables.emit(command, params, headers, tuples, fmt, out)
     assert out.getvalue() == oracles.render_reference(command, params, headers, rows, fmt)
 
 

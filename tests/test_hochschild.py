@@ -75,17 +75,26 @@ def test_phi_closed_forms():
         assert phi_r1(p).num(0) == y1_formula(p, 1)
 
 
+def block_series(p, order):
+    return hh1_block_series(p, Z_series(p, order))
+
+
+def group_series(p, order):
+    return hh1_group_series(p, partition_gf(order))
+
+
 def test_block_series_low_coefficients():
     for p in (2, 3, 5, 7):
-        y = hh1_block_series(p, 5)
+        y = block_series(p, 5)
         assert y[0] == 0
         assert y[1] == y1_formula(p, 1)
-    assert hh1_block_series(2, 3)[2] == 6
+    assert block_series(2, 3)[2] == 6
+    assert block_series(3, 1) == Series([0])  # Y is built to Z's order
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_block_series_matches_partial_sums(p):
-    y = hh1_block_series(p, 12)
+    y = block_series(p, 12)
     factor = 2 if p == 2 else 1
     for w in range(12):
         assert y[w] == factor * sum(rho(p * j, EMPTY, p) for j in range(w))
@@ -93,21 +102,23 @@ def test_block_series_matches_partial_sums(p):
 
 def test_group_series_low_coefficients():
     for p in (2, 3, 5, 7):
-        g = hh1_group_series(p, p + 2)
+        g = group_series(p, p + 2)
+        assert g.order == p + 2
         assert all(g[n] == 0 for n in range(p))
-    assert hh1_group_series(2, 4)[2] == 2
-    assert hh1_group_series(3, 5)[3] == 1
+    assert group_series(2, 4)[2] == 2
+    assert group_series(3, 5)[3] == 1
+    assert group_series(5, 1) == Series([0])
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_group_series_matches_oracle(p):
-    g = hh1_group_series(p, 16)
+    g = group_series(p, 16)
     for n in range(16):
         assert g[n] == hh1_group_oracle(p, n)
 
 
 def test_group_series_divisibility_pattern():
-    y = hh1_block_series(3, 10)
+    y = block_series(3, 10)
     assert y[0] == 0 and y[1] != 0
     assert shift(y, -1)[0] == 1
 
@@ -128,13 +139,13 @@ def test_residue_reassembly(p):
 
 @pytest.mark.parametrize("p,s", [(2, 0), (2, 1), (3, 2), (5, 3), (7, 6)])
 def test_block_decomposition_holds(p, s):
-    report = verify_block_decomposition(p, s, 40)
+    report = verify_block_decomposition(SeriesContext(p, 40), s)
     assert report.holds
     assert report.first_discrepancy is None
 
 
 def test_block_decomposition_detects_fault():
-    report = verify_block_decomposition(2, 0, 30, inject_fault=True)
+    report = verify_block_decomposition(SeriesContext(2, 30), 0, inject_fault=True)
     assert not report.holds
     exponent, lhs, rhs = report.first_discrepancy
     assert lhs != rhs and 0 <= exponent < 30
@@ -147,7 +158,7 @@ def test_block_decomposition_fault_reported_at_its_exponent():
         for order in list(range(1, 40)) + [100]:
             ctx = SeriesContext(p, order)
             for s in range(p):
-                report = verify_block_decomposition(p, s, order, inject_fault=True, ctx=ctx)
+                report = verify_block_decomposition(ctx, s, inject_fault=True)
                 if p + s < order:
                     assert report.first_discrepancy == (p + s, P[p + s], P[p + s] + 1)
                 else:
@@ -157,7 +168,7 @@ def test_block_decomposition_fault_reported_at_its_exponent():
 @pytest.mark.parametrize("p,s", [(2, 1), (3, 2), (5, 0)])
 def test_block_decomposition_debug_log_lists_exponents(caplog, p, s):
     with caplog.at_level(logging.DEBUG, logger="blockhh.hochschild"):
-        report = verify_block_decomposition(p, s, 40, inject_fault=True)
+        report = verify_block_decomposition(SeriesContext(p, 40), s, inject_fault=True)
     exponents = [
         int(m.group(1))
         for m in (re.match(r"coefficient mismatch at t\^(\d+):", r.getMessage())
@@ -171,16 +182,16 @@ def test_block_decomposition_debug_log_lists_exponents(caplog, p, s):
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_theorem3_holds(p):
-    report = verify_theorem3(p, 60)
+    report = verify_theorem3(SeriesContext(p, 60))
     assert report.holds
 
 
 def test_theorem3_fitted_phi():
-    assert fit_phi(3, 40) == RationalFunction(Polynomial([1]), Polynomial([1, -1]))
-    assert fit_phi(2, 40) == RationalFunction(Polynomial([2]), Polynomial([1, -1]))
-    ctx = SeriesContext(3, 40)
-    ctx.Y = Series((1,) + ctx.Y.coeffs[1:])  # a constant term: Y/t is no power series
-    assert fit_phi(3, 40, ctx) is None
+    for p, c in ((3, 1), (2, 2)):
+        ctx = SeriesContext(p, 40)
+        assert fit_phi(p, ctx.Y, ctx.Z) == RationalFunction(Polynomial([c]), Polynomial([1, -1]))
+    y = Series((1,) + ctx.Y.coeffs[1:])  # a constant term: Y/t is no power series
+    assert fit_phi(2, y, ctx.Z) is None
 
 
 @given(
@@ -196,42 +207,42 @@ def test_phi_ladder_matches_the_full_fit(p, k, delta, num, den):
     # Y from the data; bumped at t^k, inside the fitted prefix or in the three
     # terms past it; and t phi Z for a drawn phi = num / (1 + den t + ...)
     order = theorem3_min_order(p) + 3
-    data, bumped, drawn = (SeriesContext(p, order) for _ in range(3))
-    bumped.Y = Series(c + delta * (n == k % order) for n, c in enumerate(data.Y.coeffs))
-    drawn.Y = shift(series_mul_ratio(truncate(data.Z, order - 1), num, [1] + den), 1)
-    for ctx in (data, bumped, drawn):
-        assert fit_phi(p, order, ctx) == oracles.fit_phi_reference(p, order, ctx)
+    ctx = SeriesContext(p, order)
+    bumped = Series(c + delta * (n == k % order) for n, c in enumerate(ctx.Y.coeffs))
+    drawn = shift(series_mul_ratio(truncate(ctx.Z, order - 1), num, [1] + den), 1)
+    for y in (ctx.Y, bumped, drawn):
+        assert fit_phi(p, y, ctx.Z) == oracles.fit_phi_reference(p, y, ctx.Z)
 
 
 def test_theorem3_detects_fault():
-    report = verify_theorem3(2, 30, inject_fault=True)
+    report = verify_theorem3(SeriesContext(2, 30), inject_fault=True)
     assert not report.holds
     assert report.first_discrepancy is not None
 
 
 def test_theorem3_order_too_small():
     with pytest.raises(ValueError):
-        verify_theorem3(2, 12)
+        verify_theorem3(SeriesContext(2, 12))
     with pytest.raises(ValueError):
-        verify_theorem3(7, 20)  # needs 2p+7 = 21 here
+        verify_theorem3(SeriesContext(7, 20))  # needs 2p+7 = 21 here
 
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_theorem2_holds(p):
-    report = verify_theorem2(p, 20)
+    report = verify_theorem2(SeriesContext(p, 40), 20)
     assert report.holds
     assert report.order == 20
 
 
 def test_theorem2_positive_values_at_p7():
-    report = verify_theorem2(7, 10)
+    report = verify_theorem2(SeriesContext(7, 11), 10)
     assert report.holds
-    y = hh1_block_series(7, 11)
+    y = block_series(7, 11)
     assert all(y[w] >= 1 for w in range(1, 11))
 
 
 def test_theorem2_detects_fault():
-    report = verify_theorem2(2, 10, inject_fault=True)
+    report = verify_theorem2(SeriesContext(2, 11), 10, inject_fault=True)
     assert not report.holds
 
 
@@ -239,9 +250,10 @@ def test_group_factor_is_lifted_block_factor():
     # fit the group-level ratio directly, then descend: both routes must
     # produce the same rational data as the block-level phi
     for p in (2, 3, 5):
-        phi_hat = fit_phi(p, 60)
+        ctx = SeriesContext(p, 60)
+        phi_hat = fit_phi(p, ctx.Y, ctx.Z)
         t_phi = RationalFunction(phi_hat.num.shift(1), phi_hat.den)
-        ratio = series_mul(hh1_group_series(p, 60), series_inv(partition_gf(60)))
+        ratio = series_mul(ctx.group, series_inv(ctx.P))
         group_factor = rational_fit(ratio, 2 * p + 2, 2 * p + 2)
         assert group_factor is not None
         assert group_factor == t_phi.substitute_power(p)
@@ -259,9 +271,10 @@ def test_descend_well_defined_on_group_data():
 
 
 def test_report_str_rendering():
-    ok = verify_block_decomposition(2, 0, 24)
+    ctx = SeriesContext(2, 24)
+    ok = verify_block_decomposition(ctx, 0)
     assert "holds" in str(ok)
-    bad = verify_block_decomposition(2, 0, 24, inject_fault=True)
+    bad = verify_block_decomposition(ctx, 0, inject_fault=True)
     assert "FAILS at t^" in str(bad)
 
 
@@ -270,21 +283,26 @@ def test_context_series_match_standalone_builders():
     assert ctx.order == 30
     assert ctx.P == partition_gf(30)
     assert ctx.Z == Z_series(3, 30)
-    assert ctx.Y == hh1_block_series(3, 30)
-    assert ctx.group == hh1_group_series(3, 30)
-    assert ctx.phi == fit_phi(3, 30)
+    assert ctx.Y == block_series(3, 30)
+    assert ctx.group == group_series(3, 30)
+    assert ctx.phi == fit_phi(3, block_series(3, 30), Z_series(3, 30))
     cores = pcore_count_gf(3, 30)
     assert ctx.core_sections == tuple(section(cores, 3, s) for s in range(3))
     assert ctx.Z is ctx.Z  # built once
-    # thm2 at order 1 checks weight 1, so it reads Y to order 2
-    assert SeriesContext(2, 1).order == 2
+    # thm2 at order 1 checks weight 1, so the series reach order 2; the
+    # reports keep the order asked for
+    small = SeriesContext(2, 1)
+    assert small.order == 1
+    assert (small.P.order, small.Z.order, small.Y.order, small.group.order) == (2, 2, 2, 2)
+    assert [c.order for c in small.core_sections] == [1, 1]
+    assert verify_block_decomposition(small, 1).order == 1
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 31])
 def test_core_sections_build_the_partition_series_once(monkeypatch, p):
     from blockhh import hochschild, series
 
-    cores, group = pcore_count_gf(p, 70), hh1_group_series(p, 70)
+    cores, group = pcore_count_gf(p, 70), group_series(p, 70)
     built = []
 
     def counted(order):
@@ -303,13 +321,6 @@ def test_core_sections_build_the_partition_series_once(monkeypatch, p):
 
 
 def test_context_must_cover_the_request():
-    ctx = SeriesContext(3, 30)
-    with pytest.raises(ValueError):
-        verify_theorem3(3, 40, ctx=ctx)
-    with pytest.raises(ValueError):
-        verify_block_decomposition(5, 0, 30, ctx=ctx)
-    with pytest.raises(ValueError):
-        verify_block_decomposition(3, 0, 0, ctx=ctx)
     with pytest.raises(ValueError):
         SeriesContext(4, 30)
     with pytest.raises(ValueError, match="order must be positive"):
@@ -318,12 +329,22 @@ def test_context_must_cover_the_request():
 
 def test_every_verifier_refuses_its_bad_arguments():
     with pytest.raises(ValueError, match="need >= 20"):
-        fit_phi(3, 12)
+        fit_phi(3, block_series(3, 12), Z_series(3, 12))
     with pytest.raises(ValueError, match="order 19 too small .* need >= 20"):
-        fit_phi(2, 19)
+        fit_phi(2, block_series(2, 19), Z_series(2, 40))  # a short Y
+    with pytest.raises(ValueError, match="order 19 too small .* need >= 20"):
+        fit_phi(2, block_series(2, 40), Z_series(2, 19))
     with pytest.raises(ValueError, match="residue 3 out of range 0..2"):
-        verify_block_decomposition(3, 3, 10)
+        verify_block_decomposition(SeriesContext(3, 10), 3)
     with pytest.raises(ValueError, match="residue -1 out of range"):
-        verify_block_decomposition(3, -1, 10)
+        verify_block_decomposition(SeriesContext(3, 10), -1)
     with pytest.raises(ValueError, match="max_weight must be positive"):
-        verify_theorem2(2, 0)
+        verify_theorem2(SeriesContext(2, 10), 0)
+    with pytest.raises(ValueError, match="cannot extend a series known only to order 10"):
+        verify_theorem2(SeriesContext(2, 10), 10)  # Y to t^10 needs order 11
+    # a builder checks p itself, since no context does it for it
+    z, P = Z_series(2, 30), partition_gf(30)
+    for build in (lambda: hh1_block_series(4, z), lambda: hh1_group_series(4, P),
+                  lambda: fit_phi(4, block_series(2, 30), z)):
+        with pytest.raises(ValueError, match="p must be prime, got 4"):
+            build()

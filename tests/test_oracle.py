@@ -95,7 +95,7 @@ def test_dim_center_oracle():
 def test_oracle_equals_series_formula(p):
     from blockhh.hochschild import hh1_group_series
 
-    formula = hh1_group_series(p, 19)
+    formula = hh1_group_series(p, partition_gf(19))
     for n in range(19):
         assert hh1_group_oracle(p, n) == formula[n]
 

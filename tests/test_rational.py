@@ -139,7 +139,8 @@ def test_fit_numerator_at_its_degree_bound():
 def test_fit_block_ratio_series():
     from blockhh.hochschild import Z_series, hh1_block_series
 
-    ratio = series_mul(shift(hh1_block_series(2, 21), -1), series_inv(Z_series(2, 21)))
+    z = Z_series(2, 21)
+    ratio = series_mul(shift(hh1_block_series(2, z), -1), series_inv(z))
     assert rational_fit(ratio, 4, 4) == rf([2], [1, -1])
 
 
@@ -220,7 +221,8 @@ def test_square_fit_of_phi_series(p):
     from blockhh.hochschild import Z_series, hh1_block_series, phi_r1
 
     order = 2 * p + 7
-    ratio = series_mul(shift(hh1_block_series(p, order), -1), series_inv(Z_series(p, order)))
+    z = Z_series(p, order)
+    ratio = series_mul(shift(hh1_block_series(p, z), -1), series_inv(z))
     assert assert_fits_agree(ratio, p + 2, p + 2) == phi_r1(p)
 
 

@@ -110,12 +110,12 @@ def test_shift_down_rejects_nondivisible():
 
 
 def test_block_hh1_series_divisible_by_t_only_once():
-    from blockhh.hochschild import hh1_block_series
+    from blockhh.hochschild import Z_series, hh1_block_series
 
-    lowered = shift(hh1_block_series(3, 10), -1)
-    assert lowered[0] == 1
+    y = hh1_block_series(3, Z_series(3, 10))
+    assert shift(y, -1)[0] == 1
     with pytest.raises(ValueError):
-        shift(hh1_block_series(3, 10), -2)
+        shift(y, -2)
 
 
 def test_substitute_power_basic():
