@@ -19,9 +19,8 @@ for p in (2, 3, 5):
     formula = hh1_group_series(p, partition_gf(n_max + 1))
     print("p = %d" % p)
     print("  %3s %10s %10s" % ("n", "series", "oracle"))
-    for n in range(n_max + 1):
+    for n, o in enumerate(hh1_group_oracle(p, n_max)):
         f = formula[n]
-        o = hh1_group_oracle(p, n)
         marker = "" if f == o else "   <-- MISMATCH"
         print("  %3d %10d %10d%s" % (n, f, o, marker))
         assert f == o

@@ -186,8 +186,7 @@ def cmd_verify(args, out) -> int:
 def cmd_oracle(args, out) -> int:
     formula = hh.hh1_group_series(args.p, partition_gf(args.n_max + 1))
     rows = []
-    for n in range(args.n_max + 1):
-        o = oracle.hh1_group_oracle(args.p, n)
+    for n, o in enumerate(oracle.hh1_group_oracle(args.p, args.n_max)):
         f = _int_coeff(formula[n])
         rows.append((n, o, f, o == f))
     headers = ["n", "oracle", "formula", "match"]

@@ -17,8 +17,10 @@ trial division (``is_prime_reference``, ground truth for the Miller-Rabin
 ``_check_prime``), the no-p-hook test on the beta-set as a Python set
 (``no_p_hook_reference``, ground truth for the bitmask ``_no_p_hook``), the
 oracle's single run-length loop at every p (``hh1_group_oracle_reference``,
-for the set-intersection score at odd p), and the one (p+2, p+2) fit of the
-whole prefix (``fit_phi_reference``, for the degree ladder of ``fit_phi``).
+the per-n ground truth of the one-enumeration oracle, which reads every row
+m <= n off the classes of S_n and scores odd p by a set intersection), and
+the one (p+2, p+2) fit of the whole prefix (``fit_phi_reference``, for the
+degree ladder of ``fit_phi``).
 
 The next six are the package's former loops for the Cauchy product, the
 power, expansion, inversion, the full-system rational fit and J. C. P.

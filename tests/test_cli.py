@@ -567,6 +567,22 @@ def test_oracle_zero_rows_below_p():
         assert r["oracle"] == 0 and r["formula"] == 0
 
 
+def test_oracle_run_enumerates_once(monkeypatch):
+    # every row comes from the classes of S_n_max, fixed points deleted
+    from blockhh import oracle
+
+    real, calls = oracle.partitions_of, []
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(oracle, "partitions_of", counted)
+    code, _ = run(["oracle", "--p", "3", "--n-max", "12"])
+    assert code == 0
+    assert calls == [12]
+
+
 def test_json_roundtrip_is_byte_identical():
     _, text = run(["blocks", "--p", "2", "--n", "6", "--format", "json"])
     reparsed = tables.canonical_json(json.loads(text)) + "\n"
