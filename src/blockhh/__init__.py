@@ -14,7 +14,7 @@ import sys as _sys
 
 # Each lazily registered module with the public names it owns, each name once.
 _EXPORTS = (
-    ("series", ("Series", "partition_gf", "pcore_count_gf", "section", "series_add",
+    ("series", ("Series", "Z_series", "partition_gf", "pcore_count_gf", "section", "series_add",
                 "series_inv", "series_mul", "shift", "substitute_power", "truncate")),
     ("record", ()),
     ("partitions", ("EMPTY", "CoreQuotient", "Partition", "beta_set", "from_core_quotient",
@@ -23,8 +23,8 @@ _EXPORTS = (
     ("rational", ("Polynomial", "RationalFunction", "descend", "expand", "rational_fit")),
     ("blocks", ("BlockDescriptor", "blocks_of", "dim_center", "dim_hh1", "principal_block",
                 "sylow_exponent")),
-    ("hochschild", ("SeriesContext", "VerificationReport", "Z_series", "fit_phi",
-                    "hh1_block_series", "hh1_group_series", "phi_r1", "verify_block_decomposition",
+    ("hochschild", ("SeriesContext", "VerificationReport", "fit_phi", "hh1_block_series",
+                    "hh1_group_series", "phi_r1", "verify_block_decomposition",
                     "verify_theorem2", "verify_theorem3", "y1_formula")),
     ("oracle", ("hh1_group_oracle",)),
     ("tables", ()),

@@ -13,8 +13,8 @@ block's p-core, i.e. rho(n, core, p), for *all* blocks: for principal blocks
 this is the character count directly, and the general case is forced from it
 by weight-only dependence.  The first Hochschild cohomology dimension is the
 weight-partial-sum formula: (2 if p == 2 else 1) * sum_{j<w} rho(pj, empty).
-Both read the count series Z = E(t)^(-p), whose t^w coefficient is
-z_w = rho(pw, empty); a caller listing many blocks passes Z in, built once.
+Both read the count series Z = E(t)^(-p) (series.Z_series), whose t^w coefficient
+is z_w = rho(pw, empty); a caller listing many blocks passes Z in, built once.
 
 ``blocks_of`` checks p once, then filters candidates with ``_no_p_hook``;
 each ``BlockDescriptor`` checks p, its weight and its core once more, and

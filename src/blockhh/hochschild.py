@@ -28,10 +28,11 @@ every verifier ends in _verdict; the builders return one route each, from
 the series given them, and a SeriesContext builds each series once for them.
 Every product is the one sparse recurrence series_mul_ratio: directly for a
 closed form or a fitted phi (phi, the group factor, t^p phi(t^p), the check
-of each rung of the phi fit), through series_mul for eq12
+of the first rung of the phi fit), through series_mul for eq12
 and the phi fit, which pass C_s and Z^(-1), the sparser operands, second.
+Z is built by series.Z_series, which the context reads through its name here.
 ``blocks``, ``partitions`` and ``rational`` are bound as modules and read at
-the call, so the Z and group series run none of them.
+the call, so the group series runs none of them.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .record import Record
 from .series import (
     Coeff,
     Series,
+    Z_series,
     _check_prime,
     euler_power,
     partition_gf,
@@ -77,17 +79,6 @@ class VerificationReport(Record):
         return head + "FAILS at t^%d (lhs=%s, rhs=%s)" % (e, lhs, rhs)
 
 
-def Z_series(p: int, order: int) -> Series:
-    """Center dimensions of principal blocks by weight: coefficient w is z_w.
-
-    z_w = rho(pw, empty) counts p-tuples of partitions of total size w, so
-    Z = P^p = E(t)^(-p), from the Euler-product kernel.  thm2 compares its
-    own count series with P ** p, by squaring, on a short prefix.
-    """
-    _check_prime(p)
-    return euler_power(-p, order)
-
-
 def y1_formula(p: int, r: int) -> int:
     """Dimension of degree-r cohomology of a weight-1 block.
 
@@ -112,8 +103,9 @@ class SeriesContext:
     """p, the order the verifiers report, and the series they read, each built
     once, on first use.  P, Z and the core-count sections reach max(order, 2):
     eq12 reads Z, Y and C_s only to its section length, at most the order, and
-    thm2 at order 1 reads weight 1.  Y, the group series and phi are built from
-    them; phi is fitted on fit_phi's prefix, and is None when no fit exists."""
+    thm2 reads Y to weight max(1, order // 2), so at order 1 to weight 1.  Y,
+    the group series and phi are built from them; phi is fitted on fit_phi's
+    prefix, and is None when no fit exists."""
 
     def __init__(self, p: int, order: int):
         _check_prime(p)
@@ -184,10 +176,11 @@ def fit_phi(p: int, Y: Series, Z: Series) -> Optional[rational.RationalFunction]
 
     Reads Y and Z only to theorem3_min_order(p), which overdetermines degree
     bounds (p+2, p+2); within them a fit of the prefix is the function (Pade
-    uniqueness), and thm3 checks it to the full order.  Bounds d = 1, 2, 4, ...
-    below p+2 fit 2d+2 terms, kept only if Y = t phi Z on the whole prefix;
-    the last rung fits it all.  None when Y has a constant term or nothing
-    matches.
+    uniqueness), and thm3 checks it to the full order.  Two rungs: bounds
+    (1, 1) fit 4 terms, kept only if Y = t phi Z on the whole prefix, then
+    (p+2, p+2) fit the whole prefix.  Every Y built here is a constant times
+    the partial sums of Z, so the first rung holds on the data.  None when Y
+    has a constant term or nothing matches.
     """
     _check_prime(p)
     need, order = theorem3_min_order(p), min(Y.order, Z.order)
@@ -199,13 +192,9 @@ def fit_phi(p: int, Y: Series, Z: Series) -> Optional[rational.RationalFunction]
     if y[0] != 0:
         return None
     y_t, z_t = shift(y, -1), truncate(z, need - 1)
-    d = 1
-    while d < p + 2:  # phi is c/(1-t): the first rung is the one that holds
-        k = 2 * d + 2
-        f = rational.rational_fit(series_mul(truncate(y_t, k), series_inv(truncate(z, k))), d, d)
-        if f is not None and series_mul_ratio(z_t, f.num.coeffs, f.den.coeffs) == y_t:
-            return f
-        d *= 2
+    f = rational.rational_fit(series_mul(truncate(y_t, 4), series_inv(truncate(z, 4))), 1, 1)
+    if f is not None and series_mul_ratio(z_t, f.num.coeffs, f.den.coeffs) == y_t:
+        return f
     return rational.rational_fit(series_mul(y_t, series_inv(z)), p + 2, p + 2)
 
 
@@ -267,23 +256,20 @@ def verify_theorem3(ctx: SeriesContext, inject_fault: bool = False) -> Verificat
     return _verdict("thm3", p, order, comparisons())
 
 
-def verify_theorem2(ctx: SeriesContext, max_weight: int,
-                    inject_fault: bool = False) -> VerificationReport:
+def verify_theorem2(ctx: SeriesContext, inject_fault: bool = False) -> VerificationReport:
     """Check the weight-partial-sum formula for HH^1 dimensions, three ways.
 
-    For every weight w <= max_weight the block value must equal the partial
-    sums over rho(pj, empty) and over principal-block center dimensions
-    (doubled when p = 2), and the coefficient of the context's Y, which must
-    reach t^max_weight.  The report's order field records max_weight.
+    For every weight w <= max(1, order // 2) of the context the block value
+    must equal the partial sums over rho(pj, empty) and over principal-block
+    center dimensions (doubled when p = 2), and the coefficient of the
+    context's Y.  The report's order field records that weight bound.
 
     The block side reads a count series E(t)^(-p) built here, not ctx.Z, and
     compares up to 12 leading terms with P^p before it builds the block routes.
     Y is built from ctx.Z, thm3 sees only their ratio, and eq12 reads ctx.Z
     only to order/p: past that, a fault in Z_series shows here alone.
     """
-    p = ctx.p
-    if max_weight < 1:
-        raise ValueError("max_weight must be positive")
+    p, max_weight = ctx.p, max(1, ctx.order // 2)
     y = truncate(ctx.Y, max_weight + 1)
     counts = euler_power(-p, max_weight + 1)
     guard = min(max_weight + 1, 12)

@@ -22,13 +22,14 @@ of length len(parts).
 b of the beta-set has b - p >= 0 free.  With the beta-set as an int bitmask
 that is one test, ``not beads >> p & ~beads``.  ``p_core`` is its ground
 truth.  A ``Partition`` stores its parts alone.  ``Partition(...)`` validates
-them; ``partitions_of`` and ``partition_from_beta`` build valid parts and skip
-the checks.  ``is_p_core`` checks p, then runs ``_no_p_hook``, which callers
-that have checked p call directly.
+them, and every partition is built through it but those of the ZS1 loop,
+which builds valid parts and skips the checks.  ``is_p_core`` checks p, then
+runs ``_no_p_hook``, which callers that have checked p call directly.
 
 ``rho`` reads one coefficient of the count series Z = E(t)^(-p), p-tuples of
 partitions by total size.  A caller that needs many passes Z in, built once;
-otherwise each call builds Z to the weight it needs.  Nothing is cached.
+otherwise each call builds Z to the weight it needs with series.Z_series.
+Nothing is cached.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence
 
 from .record import Record
-from .series import Series, _check_prime, euler_power
+from .series import Series, Z_series, _check_prime
 
 
 class Partition:
@@ -53,13 +54,6 @@ class Partition:
             if i and parts[i - 1] < x:
                 raise ValueError("parts must be weakly decreasing: %r" % (parts,))
         self.parts = parts
-
-    @classmethod
-    def _trusted(cls, parts: tuple) -> "Partition":
-        """A partition from parts an internal producer built valid: no checks."""
-        lam = object.__new__(cls)
-        lam.parts = parts
-        return lam
 
     @property
     def size(self) -> int:
@@ -112,11 +106,11 @@ def partitions_of(n: int) -> list[Partition]:
         raise ValueError("n must be nonnegative")
     if n == 0:
         return [EMPTY]
-    new = object.__new__  # Partition._trusted, inlined: no checks, no call
+    new = object.__new__  # each step's parts are valid: no checks, no call
     x = [1] * n
     x[0] = n
     m, h = 1, 0
-    out = [Partition._trusted((n,))]
+    out = [Partition((n,))]
     append = out.append
     while x[0] != 1:
         if x[h] == 2:
@@ -163,10 +157,7 @@ def partition_from_beta(beta: Sequence[int]) -> Partition:
         raise ValueError("beta numbers must be nonnegative")
     if len(set(b)) != L:
         raise ValueError("beta numbers must be distinct")
-    parts = tuple(b[i] - (L - 1 - i) for i in range(L) if b[i] > L - 1 - i)
-    if all(type(x) is int for x in parts):  # distinct nonnegative ints decode validly
-        return Partition._trusted(parts)
-    return Partition(parts)  # the public check rejects the non-integer part
+    return Partition(b[i] - (L - 1 - i) for i in range(L) if b[i] > L - 1 - i)
 
 
 def _runner_counts(beta: Sequence[int], p: int) -> dict[int, int]:
@@ -262,7 +253,7 @@ def _tuple_counts(p: int, w: int, Z: Optional[Series]) -> tuple[int, ...]:
     """Coefficients of Z = E(t)^(-p) through t^w at least: built here unless
     given, and a given Z must be known past t^w and start 1 + p t."""
     if Z is None:
-        return euler_power(-p, w + 1).coeffs
+        return Z_series(p, w + 1).coeffs
     if Z.order <= w:
         raise ValueError("count series known to order %d, weight %d needs more" % (Z.order, w))
     if Z.coeffs[:2] != (1, p)[: Z.order]:

@@ -7,8 +7,10 @@ arithmetic is exact: coefficients are Python ints or ``fractions.Fraction``,
 never floats, so identity checks performed with these series are meaningful.
 Every product of two coefficient sequences, every inverse and every expansion
 is the one sparse recurrence series_mul_ratio.  The module imports nothing
-from the package, so the one prime check lives here, and the command line
-reads it here: ``series --name P`` runs no other library module.
+from the package, so the one prime check lives here, and so do the count
+series the commands read: P, the p-core counts and Z = E(t)^(-p), each
+from the one Euler-product kernel.  ``series --name P``, ``Z`` and ``Cs`` run
+no other library module.
 
 ``fractions`` loads only when a rational coefficient can arise: ``_coeff``
 imports it for a coefficient that is not an int, and ``_inverse`` for the
@@ -136,8 +138,7 @@ class Series:
 
 def series_add(a: Series, b: Series) -> Series:
     """Coefficientwise sum, truncated to the smaller operand order."""
-    n = min(a.order, b.order)
-    return Series(a.coeffs[i] + b.coeffs[i] for i in range(n))
+    return Series(x + y for x, y in zip(a.coeffs, b.coeffs))
 
 
 def series_mul(a: Series, b: Series) -> Series:
@@ -298,6 +299,17 @@ def partition_gf(order: int) -> Series:
     Coefficient n is the number of partitions of n.
     """
     return euler_power(-1, order)
+
+
+def Z_series(p: int, order: int) -> Series:
+    """Center dimensions of principal blocks by weight: coefficient w is z_w.
+
+    z_w = rho(pw, empty) counts p-tuples of partitions of total size w, so
+    Z = P^p = E(t)^(-p), from the Euler-product kernel.  thm2 compares its
+    own count series with P ** p, by squaring, on a short prefix.
+    """
+    _check_prime(p)
+    return euler_power(-p, order)
 
 
 def pcore_count_gf(p: int, order: int) -> Series:

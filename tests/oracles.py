@@ -20,7 +20,7 @@ oracle's single run-length loop at every p (``hh1_group_oracle_reference``,
 the per-n ground truth of the one-enumeration oracle, which reads every row
 m <= n off the classes of S_n and scores odd p by a set intersection), and
 the one (p+2, p+2) fit of the whole prefix (``fit_phi_reference``, for the
-degree ladder of ``fit_phi``).
+two rungs of ``fit_phi``).
 
 The next six are the package's former loops for the Cauchy product, the
 power, expansion, inversion, the full-system rational fit and J. C. P.

@@ -15,7 +15,7 @@ DELETED = {
     "blocks": {"count_weight_blocks", "make_block", "_legendre"},
     "oracle": {"CycleType", "hom_to_Fp_dim"},
     "Series": {"__str__"},
-    "Partition": {"__lt__", "__len__", "__iter__"},
+    "Partition": {"__lt__", "__len__", "__iter__", "_trusted"},
     "CycleType": {"to_partition", "size"},
 }
 
@@ -109,6 +109,23 @@ def test_only_arithmetic_and_output_invariants_raise_runtime_error():
             ):
                 raisers.add("%s.%s" % (path.stem, fn.name))
     assert raisers == {"series.euler_power", "cli._int_coeff"}
+
+
+def test_the_count_series_is_built_in_two_places_only():
+    # Z = E(t)^(-p) has one builder, series.Z_series; thm2 builds its own
+    # count series as the independent route it compares with
+    builders = set()
+    for path in sorted(Path(blockhh.__file__).parent.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                isinstance(node, ast.Call) and ast.unparse(node.func).endswith("euler_power")
+                and node.args and isinstance(node.args[0], ast.UnaryOp)
+                and isinstance(node.args[0].op, ast.USub)
+                and not isinstance(node.args[0].operand, ast.Constant)
+                for node in ast.walk(fn)
+            ):
+                builders.add("%s.%s" % (path.stem, fn.name))
+    assert builders == {"series.Z_series", "hochschild.verify_theorem2"}
 
 
 def test_command_line_compiles_below_the_largest_library_module():

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import sys
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from blockhh import cli, tables
-from blockhh.series import Series
+from blockhh.series import Series, euler_power
 
 import oracles
 
@@ -234,6 +235,68 @@ def test_largest_prime_below_the_limit_is_accepted():
     code, doc = run_json(["blocks", "--p", "4294967291", "--n", "3"])
     assert code == 0
     assert [(r["core"], r["weight"]) for r in doc["rows"]] == [("3", 0), ("2,1", 0), ("1,1,1", 0)]
+
+
+@contextlib.contextmanager
+def digit_limit(digits):
+    """CPython's limit on int-string conversion set to ``digits`` (0: none), then restored."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+needs_digit_limit = pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                                       reason="this Python converts ints of any size")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_integers_past_the_default_digit_limit_are_written_exactly(capsys, fmt):
+    # coefficient 599 of Z at the largest prime has 4365 digits, past the default 4300
+    argv = ["series", "--name", "Z", "--p", "4294967291", "--order", "600", "--format", fmt]
+    with digit_limit(4300):
+        code, text = run(argv)
+    assert (code, capsys.readouterr().err) == (0, "")
+    with digit_limit(0):
+        if fmt == "json":
+            last = json.loads(text)["rows"][-1]["coefficient"]
+        else:  # the last row ends "599  DIGITS" or "599,DIGITS"
+            last = int(text.split()[-1].rpartition(",")[2])
+        assert last == euler_power(-4294967291, 600)[599]
+        assert len(str(last)) == 4365
+
+
+@needs_digit_limit
+def test_verify_discrepancy_past_the_digit_limit_exits_one(monkeypatch, capsys):
+    from blockhh import hochschild as hh
+
+    lhs = 10**5000
+
+    def failing(ctx, inject_fault=False):
+        return hh.VerificationReport("thm2", ctx.p, 1, (3, lhs, lhs + 1))
+
+    monkeypatch.setattr(hh, "verify_theorem2", failing)
+    with digit_limit(4300):
+        code, text = run(["verify", "--which", "thm2", "--p", "3", "--order", "2"])
+    assert (code, capsys.readouterr().err) == (1, "")
+    with digit_limit(0):
+        assert text == "thm2 (p=3, order=1): FAILS at t^3 (lhs=%d, rhs=%d)\n" % (lhs, lhs + 1)
+
+
+@needs_digit_limit
+def test_main_restores_the_callers_digit_limit():
+    with digit_limit(5000):
+        assert run(["series", "--name", "P", "--order", "3"])[0] == 0
+        assert sys.get_int_max_str_digits() == 5000
+        assert run(["verify", "--which", "thm3", "--p", "3", "--order", "5"])[0] == 2
+        assert sys.get_int_max_str_digits() == 5000
+        with pytest.raises(SystemExit) as exited:  # a usage error found by the handler
+            run(["series", "--name", "P", "--p", "3"])
+        assert exited.value.code == 2
+        assert sys.get_int_max_str_digits() == 5000
 
 
 def test_verify_all_exit_zero():
@@ -894,10 +957,9 @@ def test_cli_start_runs_only_the_modules_its_command_uses():
     assert ran(["series", "--name", "Cs", "--p", "3", "--s", "1"]) == command_line | {"tables"}
     assert ran(["blocks", "--p", "3", "--n", "6"]) == command_line | {
         "tables", "blocks", "partitions", "record"}
-    # hochschild reads blocks, partitions and rational only where it calls them
-    assert ran(["series", "--name", "Z", "--p", "3"]) == command_line | {
-        "tables", "hochschild", "record"}
-    # Y reads blocks' factor only; blocks reads partitions where it calls it
+    assert ran(["series", "--name", "Z", "--p", "3"]) == command_line | {"tables"}
+    # hochschild reads blocks, partitions and rational only where it calls them:
+    # Y reads blocks' factor only, and blocks reads partitions where it calls it
     assert ran(["series", "--name", "Y", "--p", "3"]) == command_line | {
         "tables", "hochschild", "record", "blocks"}
     assert not {"blocks", "rational"} & ran(["oracle", "--p", "2", "--n-max", "4"])
