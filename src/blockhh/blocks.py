@@ -80,6 +80,8 @@ def blocks_of(p: int, n: int) -> list[BlockDescriptor]:
 
     Ordered by decreasing weight, then by the enumeration order of cores.
     Every partition of n lands in exactly one listed block via its p-core.
+    Each weight's candidates are iterated once from ``partitions_of``, one
+    at a time, so the list of blocks is all this holds.
     """
     _check_prime(p)
     if n < 0:

@@ -48,7 +48,9 @@ def hh1_group_oracle(p: int, n: int) -> tuple[int, ...]:
     Row m is read off the classes of S_n with at least n - m fixed points,
     with n - m of them deleted (module docstring).  jumps[m] is row m less
     row m - 1: a class with k fixed points adds its score to jumps[n - k], so
-    the prefix sums count it in every row from n - k up.
+    the prefix sums count it in every row from n - k up.  The classes are
+    iterated once from ``partitions_of``, one at a time, so a run holds O(n)
+    integers however many classes S_n has.
     """
     _check_prime(p)
     jumps = [0] * (n + 1)  # partitions_of refuses a negative n

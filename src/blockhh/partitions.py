@@ -18,8 +18,11 @@ The core does not depend on the beta-set length, so ``p_core`` reads the one
 of length len(parts).
 
 ``partitions_of`` is the iterative ZS1 generator (Zoghbi and Stojmenovic,
-1998).  ``is_p_core`` is the no-p-hook test (James and Kerber, 2.7): no bead
-b of the beta-set has b - p >= 0 free.  With the beta-set as an int bitmask
+1998) behind a view in the manner of ``range``: the view holds n, each
+iteration yields one partition at a time, and ``len`` counts by iterating,
+so no caller holds all p(n) partitions unless it makes a list.
+``is_p_core`` is the no-p-hook test (James and Kerber, 2.7): no bead b of
+the beta-set has b - p >= 0 free.  With the beta-set as an int bitmask
 that is one test, ``not beads >> p & ~beads``.  ``p_core`` is its ground
 truth.  A ``Partition`` stores its parts alone.  ``Partition(...)`` validates
 them, and every partition is built through it but those of the ZS1 loop,
@@ -34,7 +37,7 @@ Nothing is cached.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .record import Record
 from .series import Series, Z_series, _check_prime
@@ -95,42 +98,65 @@ class CoreQuotient(Record):
         return sum(q.size for q in self.quotient)
 
 
-def partitions_of(n: int) -> list[Partition]:
-    """All partitions of n, in reverse-lexicographic order: (n) first, (1^n) last.
+def partitions_of(n: int) -> _Partitions:
+    """The partitions of n, in reverse-lexicographic order: (n) first, (1^n)
+    last, as a view in the manner of ``range`` that holds n alone.
 
-    ZS1: x is the current partition padded with 1s, m its number of parts and
-    h the index of its last part above 1.  Each step lowers x[h] by one and
-    refills the tail greedily with parts no larger than the new x[h].
+    Each iteration enumerates from the start, one partition at a time, in
+    O(n) memory.  ``len`` counts by iterating, never by formula: the tests
+    check the partition series against it.  ``list`` asks ``len`` for a size
+    hint, so ``list(partitions_of(n))`` enumerates twice.  A negative n is
+    refused here, at the call.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        return [EMPTY]
-    new = object.__new__  # each step's parts are valid: no checks, no call
-    x = [1] * n
-    x[0] = n
-    m, h = 1, 0
-    out = [Partition((n,))]
-    append = out.append
-    while x[0] != 1:
-        if x[h] == 2:
-            m, x[h] = m + 1, 1
-            h -= 1
-        else:
-            r, t = x[h] - 1, m - h
-            x[h] = r
-            while t >= r:
-                h += 1
+    return _Partitions(n)
+
+
+class _Partitions:
+    """What ``partitions_of`` returns: the partitions of n, enumerated anew
+    by each iteration."""
+
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)
+
+    def __iter__(self) -> Iterator[Partition]:
+        """ZS1: x is the current partition padded with 1s, m its number of
+        parts and h the index of its last part above 1.  Each step lowers
+        x[h] by one and refills the tail greedily with parts no larger than
+        the new x[h]."""
+        n = self.n
+        if n == 0:
+            yield EMPTY
+            return
+        new = object.__new__  # each step's parts are valid: no checks, no call
+        x = [1] * n
+        x[0] = n
+        m, h = 1, 0
+        yield Partition((n,))
+        while x[0] != 1:
+            if x[h] == 2:
+                m, x[h] = m + 1, 1
+                h -= 1
+            else:
+                r, t = x[h] - 1, m - h
                 x[h] = r
-                t -= r
-            m = h + 2 if t else h + 1
-            if t > 1:
-                h += 1
-                x[h] = t
-        lam = new(Partition)
-        lam.parts = tuple(x[:m])
-        append(lam)
-    return out
+                while t >= r:
+                    h += 1
+                    x[h] = r
+                    t -= r
+                m = h + 2 if t else h + 1
+                if t > 1:
+                    h += 1
+                    x[h] = t
+            lam = new(Partition)
+            lam.parts = tuple(x[:m])
+            yield lam
 
 
 def beta_set(lam: Partition, length: int) -> list[int]:

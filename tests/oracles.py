@@ -221,7 +221,12 @@ def count_pcores(n: int, p: int) -> int:
 
 
 def dim_center_oracle(n: int) -> int:
-    """dim Z(kS_n): the number of conjugacy classes, i.e. partitions of n."""
+    """dim Z(kS_n): the number of conjugacy classes, i.e. partitions of n.
+
+    ``len`` of the ``partitions_of`` view counts the classes by enumerating
+    them, and it must: this is the ground truth the partition series P is
+    checked against, and a count by formula would check P against itself.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     return len(partitions_of(n))

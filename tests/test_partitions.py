@@ -38,9 +38,83 @@ def test_partition_validation():
 
 
 def test_partitions_of_zero():
-    assert partitions_of(0) == [EMPTY]
+    assert list(partitions_of(0)) == [EMPTY]
     with pytest.raises(ValueError, match="n must be nonnegative"):
-        partitions_of(-1)
+        partitions_of(-1)  # at the call, before any iteration
+
+
+def test_partitions_of_is_a_reiterable_sized_view():
+    for n in range(26):
+        view = partitions_of(n)
+        first = [lam.parts for lam in view]
+        assert [lam.parts for lam in view] == first
+        assert len(view) == len(first) == oracles.partition_count(n)
+
+
+def test_partitions_of_len_counts_by_iterating(monkeypatch):
+    # never by formula: oracles.dim_center_oracle is this len, checked against P
+    view = partitions_of(12)
+    real, iterations = type(view).__iter__, []
+
+    def counted(self):
+        iterations.append(self)
+        return real(self)
+
+    monkeypatch.setattr(type(view), "__iter__", counted)
+    assert len(view) == 77 and iterations == [view]
+
+
+class _Spy:
+    """A ``partitions_of`` view that counts its iterations and its ``len`` calls."""
+
+    def __init__(self, view):
+        self.view, self.iterations, self.lens = view, 0, 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return iter(self.view)
+
+    def __len__(self):
+        self.lens += 1
+        return len(self.view)
+
+
+def test_library_callers_iterate_each_view_once(monkeypatch):
+    """blocks_of and the oracle each iterate every view they ask for once and
+    never call len on it, which would run the enumeration a second time."""
+    from blockhh import blocks, oracle, partitions
+
+    expected = (blocks.blocks_of(3, 20), oracle.hh1_group_oracle(3, 20))
+    real, spies = partitions.partitions_of, []
+
+    def spied(n):
+        spies.append(_Spy(real(n)))
+        return spies[-1]
+
+    monkeypatch.setattr(partitions, "partitions_of", spied)
+    monkeypatch.setattr(oracle, "partitions_of", spied)
+    assert blocks.blocks_of(3, 20) == expected[0]
+    assert len(spies) == 20 // 3 + 1
+    assert oracle.hh1_group_oracle(3, 20) == expected[1]
+    assert len(spies) == 20 // 3 + 2
+    assert all((spy.iterations, spy.lens) == (1, 0) for spy in spies)
+
+
+def test_enumeration_holds_one_partition_at_a_time():
+    """Iterating the p(45) = 89,134 partitions of 45 allocates under 512 KiB,
+    counted by tracemalloc.  CPython 3.11 keeps freed 20-part tuples on its
+    tuple free list, at most 2000 of them (400,000 bytes), and tracemalloc
+    counts them."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for _ in partitions_of(45):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
 
 
 def test_partitions_of_four():
